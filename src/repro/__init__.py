@@ -24,7 +24,7 @@ from . import counting, decomposition, distributed, engine, graph, motifs, query
 __version__ = "1.1.0"
 
 # Convenience re-exports for the quickstart path.
-from .counting import count, count_colorful, count_exact, estimate_matches, make_context
+from .counting import estimate_matches
 from .decomposition import build_decomposition, choose_plan, enumerate_plans
 from .engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from .graph import Graph
@@ -40,11 +40,7 @@ __all__ = [
     "EngineConfig",
     "PrecisionSpec",
     "RunResult",
-    "count",
-    "count_colorful",
-    "count_exact",
     "estimate_matches",
-    "make_context",
     "build_decomposition",
     "choose_plan",
     "enumerate_plans",

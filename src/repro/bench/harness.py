@@ -865,6 +865,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         records, columns=["key", "seconds", "calibrated", "count"], title="perf-smoke"
     )
 
+    # every gate is evaluated and every output written before the combined
+    # status is returned: one noisy ratio must not hide the regression
+    # table or skip the --emit-json record
+    status = 0
     strict = next((r for r in records if r.get("namespace") == "strict"), None)
     if strict is not None:
         overhead = float(strict["overhead_vs_numpy"])
@@ -875,7 +879,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"allowed {STRICT_OVERHEAD_LIMIT:g}x on "
                 f"{'/'.join(STRICT_OVERHEAD_CELL)}"
             )
-            return 1
+            status = 1
 
     obs_rec = next(
         (r for r in records if str(r["key"]).endswith("ps-vec@obs-off")), None
@@ -890,7 +894,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"allowed {OBS_OVERHEAD_LIMIT:g}x on "
                 f"{'/'.join(STRICT_OVERHEAD_CELL)}"
             )
-            return 1
+            status = 1
 
     if args.emit_json:
         path = write_bench_json(args.emit_json, records)
@@ -899,7 +903,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.baseline and args.update_baseline:
         path = write_bench_json(args.baseline, records)
         print(f"[baseline updated at {path}]")
-        return 0
+        return status
     if args.baseline:
         baseline = load_bench_json(args.baseline)
         regressions = compare_to_baseline(records, baseline, tolerance=args.tolerance)
@@ -911,7 +915,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 1
         print(f"[perf gate OK: no benchmark slower than {args.tolerance:g}x baseline]")
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in CI

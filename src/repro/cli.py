@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .bench.datasets import dataset, dataset_names
-from .counting.xp import BackendUnavailable, KNOWN_NAMESPACES
+from .counting.xp import KNOWN_NAMESPACES
 from .decomposition.enumeration import enumerate_plans
 from .decomposition.planner import choose_plan
 from .graph.io import read_edge_list
@@ -160,7 +160,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     namespace=args.namespace,
                 )
-    except (KeyError, OSError, ValueError, BackendUnavailable) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         return _cli_error(exc)
     palette = f", num_colors={result.num_colors}" if result.num_colors != q.k else ""
     workers = f", workers={result.workers}" if result.workers > 1 else ""
@@ -383,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--namespace", choices=KNOWN_NAMESPACES, default=None,
-        help="array namespace for the vectorized backends (ps-vec/ps-gpu): "
-        "numpy, strict (audited CPU stub), cupy, torch, or auto; default: "
-        "the REPRO_ARRAY_NAMESPACE env var, else numpy",
+        help="array namespace for ps-vec: numpy, or strict (audited CPU "
+        "stub); default: the REPRO_ARRAY_NAMESPACE env var, else numpy",
     )
     p_count.add_argument(
         "--labels", default=None, metavar="SPEC",

@@ -1,6 +1,5 @@
 """Counting algorithms: PS baseline, DB contribution, treelet DP, estimator."""
 
-from .api import count, count_colorful, count_exact, make_context
 from .bruteforce import count_colorful_matches, count_matches
 from .colorings import (
     balanced_coloring,
@@ -8,7 +7,6 @@ from .colorings import (
     coloring_batch,
     uniform_coloring,
 )
-from .parallel import estimate_matches_parallel
 from .verify import VerificationReport, verify_counting
 from .db import count_colorful_db
 from .estimator import (
@@ -22,18 +20,9 @@ from .ps import count_colorful_ps
 from .solver import ALL_METHODS, METHODS, VEC_METHOD, BlockSolver, solve_plan
 from .treelet import count_colorful_treelet
 from .vectorized import count_colorful_ps_vec, solve_plan_vectorized
-from .xp import (
-    ArrayNamespace,
-    BackendUnavailable,
-    StrictNamespace,
-    resolve_namespace,
-)
+from .xp import ArrayNamespace, StrictNamespace, resolve_namespace
 
 __all__ = [
-    "count",
-    "count_colorful",
-    "count_exact",
-    "make_context",
     "count_matches",
     "count_colorful_matches",
     "label_masks",
@@ -56,11 +45,9 @@ __all__ = [
     "balanced_coloring",
     "coloring_batch",
     "color_class_sizes",
-    "estimate_matches_parallel",
     "verify_counting",
     "VerificationReport",
     "ArrayNamespace",
-    "BackendUnavailable",
     "StrictNamespace",
     "resolve_namespace",
 ]

@@ -16,6 +16,7 @@ explores and the paper leaves implicit):
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, List
 
 import numpy as np
@@ -46,20 +47,8 @@ def balanced_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return palette
 
 
-def coloring_batch(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    strategy: str = "uniform",
-) -> List[np.ndarray]:
-    """Deterministic batch of ``trials`` colorings for paired experiments."""
-    rng = np.random.default_rng(seed)
-    if strategy == "uniform":
-        return [uniform_coloring(n, k, rng) for _ in range(trials)]
-    if strategy == "balanced":
-        return [balanced_coloring(n, k, rng) for _ in range(trials)]
-    raise ValueError(f"unknown coloring strategy {strategy!r}")
+#: coloring strategies by name
+_DRAWS = {"uniform": uniform_coloring, "balanced": balanced_coloring}
 
 
 def coloring_stream(
@@ -68,24 +57,32 @@ def coloring_stream(
     seed: int,
     strategy: str = "uniform",
 ) -> Iterator[np.ndarray]:
-    """Endless deterministic coloring sequence, prefix-identical to batches.
+    """Endless deterministic coloring sequence from one seeded generator.
 
-    Draws from the *same* generator stream as :func:`coloring_batch`, so
-    the first ``t`` colorings yielded here are bit-identical to
-    ``coloring_batch(n, k, t, seed, strategy)`` for every ``t``.  This is
-    what lets the engine's adaptive scheduler stop early (or keep going)
-    without perturbing the colorings a fixed-trial run would have seen —
-    the differential/parity invariants ride on this prefix property.
+    The engine's trial scheduler draws every coloring from this stream,
+    so the first ``t`` trials of any run are the same ``t`` colorings
+    whether it stops early or keeps going — the differential/parity
+    invariants ride on this prefix property.  An unknown ``strategy``
+    raises :class:`ValueError` here, before the first draw.
     """
-    if strategy == "uniform":
-        draw = uniform_coloring
-    elif strategy == "balanced":
-        draw = balanced_coloring
-    else:
-        raise ValueError(f"unknown coloring strategy {strategy!r}")
+    try:
+        draw = _DRAWS[strategy]
+    except KeyError:
+        raise ValueError(f"unknown coloring strategy {strategy!r}") from None
     rng = np.random.default_rng(seed)
-    while True:
-        yield draw(n, k, rng)
+    return (draw(n, k, rng) for _ in itertools.count())
+
+
+def coloring_batch(
+    n: int,
+    k: int,
+    trials: int,
+    seed: int,
+    strategy: str = "uniform",
+) -> List[np.ndarray]:
+    """The first ``trials`` colorings of :func:`coloring_stream` (paired
+    experiments replay exactly what the engine drew)."""
+    return list(itertools.islice(coloring_stream(n, k, seed, strategy), trials))
 
 
 def color_class_sizes(colors: np.ndarray, k: int) -> np.ndarray:

@@ -23,8 +23,8 @@ the same dynamic program as whole-table array operations:
 
 Every array operation goes through an :class:`~repro.counting.xp.ArrayNamespace`
 handle (the audited seam in :mod:`repro.counting.xp`) — NumPy by
-default, the strict CPU stub under ``REPRO_ARRAY_NAMESPACE=strict``, and
-CuPy/torch on a CUDA device.  This module deliberately does **not**
+default, the strict CPU stub under ``REPRO_ARRAY_NAMESPACE=strict``.
+This module deliberately does **not**
 import NumPy: a new kernel either speaks the audited primitive set or
 fails the strict CI lane.
 
@@ -57,7 +57,7 @@ from .labels import label_masks
 # the cycle-walk order must stay in lockstep with the dict solver for the
 # ps/ps-vec bit-identical invariant to hold — share one implementation
 from .solver import _ccw_labels, _cw_labels
-from .xp import Array, ArrayNamespace, NamespaceLike, as_namespace, cpu_namespace
+from .xp import Array, ArrayNamespace, NamespaceLike, as_namespace, default_namespace
 
 __all__ = [
     "VecUnaryTable",
@@ -82,7 +82,7 @@ _SUM_LIMIT = float(2**62)
 
 def _popcount(a: Array, xp: Optional[ArrayNamespace] = None) -> Array:
     """Per-element population count of an int64 array."""
-    xp = xp if xp is not None else cpu_namespace()
+    xp = xp if xp is not None else default_namespace()
     return xp.popcount(a)
 
 
@@ -95,7 +95,7 @@ def _group_sum(
     significant) and the per-key count sums — the array analogue of the
     dict kernels' ``table.add`` accumulation.
     """
-    xp = xp if xp is not None else cpu_namespace()
+    xp = xp if xp is not None else default_namespace()
     if len(cnt) == 0:
         return [c[:0] for c in cols], cnt[:0]
     # conservative overflow check: the whole-table float64 total bounds
@@ -124,7 +124,7 @@ def _expand(
     Returns ``(rep, pos)``: ``rep[i]`` is the source entry of flat slot
     ``i`` and ``pos[i]`` the absolute position inside the indexed array.
     """
-    xp = xp if xp is not None else cpu_namespace()
+    xp = xp if xp is not None else default_namespace()
     total = int(xp.sum(lens)) if len(lens) else 0
     if total == 0:
         empty = xp.empty(0, dtype=xp.int64)
@@ -141,7 +141,7 @@ def _check_counts(cnt: Array, xp: Optional[ArrayNamespace] = None) -> None:
     Counts are non-negative by construction (tables seed at 1 and only
     sum/multiply under these guards), so the max bounds the magnitude.
     """
-    xp = xp if xp is not None else cpu_namespace()
+    xp = xp if xp is not None else default_namespace()
     if len(cnt) and int(xp.max(cnt)) >= 1 << 31:
         raise OverflowError(
             "ps-vec count tables exceeded 2^31 per entry; rerun with the "
@@ -151,7 +151,7 @@ def _check_counts(cnt: Array, xp: Optional[ArrayNamespace] = None) -> None:
 
 def _checked_total(cnt: Array, xp: Optional[ArrayNamespace] = None) -> int:
     """Sum counts, refusing totals that could wrap an int64 accumulator."""
-    xp = xp if xp is not None else cpu_namespace()
+    xp = xp if xp is not None else default_namespace()
     if len(cnt) and float(xp.sum(xp.astype(cnt, xp.float64))) > _SUM_LIMIT:
         raise OverflowError(
             "ps-vec total count would exceed int64; rerun with the "
@@ -179,7 +179,7 @@ class VecUnaryTable:
     ) -> None:
         self.boundary = boundary
         self.u, self.sig, self.cnt = u, sig, cnt
-        self.xp = xp if xp is not None else cpu_namespace()
+        self.xp = xp if xp is not None else default_namespace()
 
     def total(self) -> int:
         return _checked_total(self.cnt, self.xp)
@@ -208,7 +208,7 @@ class VecBinaryTable:
     ) -> None:
         self.boundary = boundary
         self.u, self.v, self.sig, self.cnt = u, v, sig, cnt
-        self.xp = xp if xp is not None else cpu_namespace()
+        self.xp = xp if xp is not None else default_namespace()
 
     def transpose(self) -> "VecBinaryTable":
         (u, v, sig), cnt = _group_sum((self.v, self.u, self.sig), self.cnt, self.xp)
@@ -255,9 +255,8 @@ class VectorizedSolver:
     :meth:`inject` installs externally combined (full) child results.
 
     ``xp`` selects the array namespace (None: the process default).  All
-    host inputs — CSR arrays, the coloring, shard and label masks —
-    transfer through ``xp.asarray`` here, once per solver; the kernels
-    below never touch host memory again until the root scalar comes back.
+    inputs — CSR arrays, the coloring, shard and label masks — enter the
+    namespace through ``xp.asarray`` here, once per solver.
     """
 
     def __init__(
@@ -650,9 +649,8 @@ def solve_block_shard(
     path row lives in exactly one shard).  ``vertex_ok`` carries the
     label-compatibility masks of a labeled query (orthogonal to the
     shard mask: labels filter per query node, shards per start vertex).
-    ``xp`` selects the array namespace; the executor pins its workers to
-    the host (:func:`~repro.counting.xp.cpu_namespace`) because shard
-    tables cross process pipes.
+    ``xp`` selects the array namespace; the executor's workers use the
+    process default (:func:`~repro.counting.xp.default_namespace`).
     """
     solver = VectorizedSolver(
         g, colors, k, start_mask=start_mask, vertex_ok=vertex_ok, xp=xp

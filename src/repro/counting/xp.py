@@ -12,35 +12,25 @@ the primitives the sweep uses (:data:`AUDITED_PRIMITIVES`), with
   *rejects any call outside the audited set* and counts per-primitive
   usage.  CI runs the whole vectorized suite under it
   (``REPRO_ARRAY_NAMESPACE=strict``), so a change that sneaks an
-  un-audited NumPy call into the sweep fails on GPU-less runners;
-* :class:`CupyNamespace` / :class:`TorchNamespace` — optional CUDA
-  implementations, constructed only when the package *and* a device are
-  present (:exc:`BackendUnavailable` otherwise).
+  un-audited NumPy call into the sweep fails the ``backend-matrix`` lane.
 
-Two primitives have no portable equivalent and get explicit fallbacks
-shared by the GPU namespaces: :func:`lexsort_fallback` (iterated stable
-argsort — ``np.lexsort`` semantics, last key primary) and
-:func:`add_reduceat_fallback` (cumulative-sum segment differences —
-``np.add.reduceat`` over sorted ``starts`` with ``starts[0] == 0``).
-Both are fuzz-tested against their NumPy originals, so a GPU run
-inherits the bit-identical contract from the CPU tests.
+The seam is what a future device namespace would implement: the audited
+set is small and every primitive in it has an array-API equivalent.
 
-Resolution: :func:`resolve_namespace` maps a spec string to a handle;
-``"auto"`` prefers CuPy, then torch, then degrades cleanly to NumPy.
-The process-wide default (:func:`default_namespace`) reads the
-``REPRO_ARRAY_NAMESPACE`` environment variable, and
-:func:`cpu_namespace` coerces it onto the host for paths that must stay
-there (the ``ps-dist`` shared-memory executor).
+Resolution: :func:`resolve_namespace` maps a spec string
+(:data:`KNOWN_NAMESPACES`) to a handle.  The process-wide default
+(:func:`default_namespace`) reads the ``REPRO_ARRAY_NAMESPACE``
+environment variable.
 
-``python -m repro.counting.xp`` prints a JSON audit — namespace
-availability plus the per-primitive usage of a demo solve under the
-strict stub — uploaded as a CI artifact by the ``backend-matrix`` job.
+``python -m repro.counting.xp`` prints a JSON audit — the per-primitive
+usage of a demo solve under the strict stub — uploaded as a CI artifact
+by the ``backend-matrix`` job.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,22 +39,15 @@ __all__ = [
     "ArrayNamespace",
     "NumpyNamespace",
     "StrictNamespace",
-    "CupyNamespace",
-    "TorchNamespace",
-    "BackendUnavailable",
     "AUDITED_PRIMITIVES",
     "KNOWN_NAMESPACES",
     "NAMESPACE_ENV_VAR",
     "resolve_namespace",
     "default_namespace",
-    "cpu_namespace",
-    "gpu_namespace",
     "as_namespace",
-    "lexsort_fallback",
-    "add_reduceat_fallback",
 ]
 
-#: a backend-native array handle (np.ndarray / cupy.ndarray / torch.Tensor)
+#: a backend-native array handle (np.ndarray on the CPU namespaces)
 Array = Any
 #: a backend-native dtype object
 DType = Any
@@ -75,7 +58,7 @@ NamespaceLike = Union[str, "ArrayNamespace", None]
 NAMESPACE_ENV_VAR = "REPRO_ARRAY_NAMESPACE"
 
 #: every spec string :func:`resolve_namespace` accepts
-KNOWN_NAMESPACES: Tuple[str, ...] = ("numpy", "strict", "cupy", "torch", "auto")
+KNOWN_NAMESPACES: Tuple[str, ...] = ("numpy", "strict")
 
 #: the audited primitive set — the *only* module-level calls the
 #: vectorized sweep may make; StrictNamespace rejects everything else
@@ -91,58 +74,6 @@ AUDITED_PRIMITIVES: Tuple[str, ...] = (
 )
 
 
-class BackendUnavailable(RuntimeError):
-    """An explicitly requested array namespace cannot run here.
-
-    Raised when the backing package is not installed or no CUDA device
-    is visible.  ``"auto"`` catches this and degrades to NumPy; explicit
-    specs surface it to the caller (the service maps it to HTTP 400).
-    """
-
-
-# ----------------------------------------------------------------------
-# portable fallbacks for the two NumPy-only primitives
-# ----------------------------------------------------------------------
-
-def lexsort_fallback(
-    keys: Sequence[Array], argsort_stable: Callable[[Array], Array]
-) -> Array:
-    """``np.lexsort`` semantics from repeated stable argsorts.
-
-    ``keys[-1]`` is the primary sort key (NumPy's convention).  Iterating
-    stable argsorts from the least-significant key up is the classic
-    radix argument: each later (more significant) pass preserves the
-    relative order established by earlier ones.
-    """
-    if not keys:
-        raise ValueError("lexsort requires at least one key")
-    order = argsort_stable(keys[0])
-    for key in keys[1:]:
-        order = order[argsort_stable(key[order])]
-    return order
-
-
-def add_reduceat_fallback(
-    a: Array, starts: Array, cumsum: Callable[[Array], Array]
-) -> Array:
-    """``np.add.reduceat(a, starts)`` for sorted ``starts`` with ``starts[0] == 0``.
-
-    Segment ``i`` sums ``a[starts[i]:starts[i+1]]`` (the last segment
-    runs to the end): cumulative sum at each segment's last element,
-    minus the cumulative sum just before its start.  Exact in int64
-    whenever the whole-table total fits — which the kernels'
-    ``_SUM_LIMIT`` guard establishes before every aggregation.
-    """
-    totals = cumsum(a)
-    ends = starts - starts  # zeros with starts' backend/dtype/device
-    ends[: len(ends) - 1] = starts[1:] - 1
-    ends[len(ends) - 1] = len(a) - 1
-    upper = totals[ends]
-    lower = starts - starts
-    lower[1:] = totals[starts[1:] - 1]
-    return upper - lower
-
-
 # ----------------------------------------------------------------------
 # the namespace interface and the NumPy default
 # ----------------------------------------------------------------------
@@ -151,21 +82,19 @@ class ArrayNamespace:
     """The audited array surface of the vectorized PS sweep.
 
     Implementations provide :data:`AUDITED_PRIMITIVES` as methods plus
-    the ``int64``/``bool_``/``float64`` dtype handles, ``name`` and
-    ``device``.  Everything else the kernels do is array-object algebra
-    (elementwise operators, fancy/boolean indexing, slicing) — part of
-    the array-API standard and portable by construction.
+    the ``int64``/``bool_``/``float64`` dtype handles and ``name``.
+    Everything else the kernels do is array-object algebra (elementwise
+    operators, fancy/boolean indexing, slicing) — part of the array-API
+    standard and portable by construction.
     """
 
     name: str = ""
-    #: ``"cpu"`` or ``"cuda"`` — where this namespace's arrays live
-    device: str = "cpu"
     int64: DType = None
     bool_: DType = None
     float64: DType = None
 
     def asarray(self, a: object, dtype: DType = None) -> Array:
-        """Convert (device transfer point: host data crosses here)."""
+        """Convert (the point where caller data enters the namespace)."""
         raise NotImplementedError
 
     def empty(self, n: int, dtype: DType = None) -> Array:
@@ -226,14 +155,13 @@ class ArrayNamespace:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r} device={self.device!r}>"
+        return f"<{type(self).__name__} name={self.name!r}>"
 
 
 class NumpyNamespace(ArrayNamespace):
     """The default handle: thin delegation to NumPy."""
 
     name = "numpy"
-    device = "cpu"
     int64 = np.int64
     bool_ = np.bool_
     float64 = np.float64
@@ -317,7 +245,6 @@ class StrictNamespace(ArrayNamespace):
     """
 
     name = "strict"
-    device = "cpu"
     int64 = np.int64
     bool_ = np.bool_
     float64 = np.float64
@@ -417,229 +344,20 @@ class StrictNamespace(ArrayNamespace):
 
 
 # ----------------------------------------------------------------------
-# optional CUDA namespaces (constructed only when usable)
-# ----------------------------------------------------------------------
-
-class CupyNamespace(ArrayNamespace):
-    """CuPy on a CUDA device.  Mirrors the NumPy API almost exactly.
-
-    ``add.reduceat`` is not implemented in CuPy, so segment sums use the
-    cumsum fallback; everything else is direct delegation.  Host inputs
-    (CSR arrays, colorings, label masks) transfer to the device through
-    ``asarray`` at solver construction; only Python scalars come back.
-    """
-
-    name = "cupy"
-    device = "cuda"
-
-    def __init__(self, cp: Any) -> None:
-        self._cp = cp
-        self.int64 = cp.int64
-        self.bool_ = cp.bool_
-        self.float64 = cp.float64
-
-    def asarray(self, a: object, dtype: DType = None) -> Array:
-        return self._cp.asarray(a, dtype=dtype)
-
-    def empty(self, n: int, dtype: DType = None) -> Array:
-        return self._cp.empty(n, dtype=dtype)
-
-    def zeros(self, n: int, dtype: DType = None) -> Array:
-        return self._cp.zeros(n, dtype=dtype)
-
-    def ones(self, n: int, dtype: DType = None) -> Array:
-        return self._cp.ones(n, dtype=dtype)
-
-    def arange(self, n: int, dtype: DType = None) -> Array:
-        return self._cp.arange(n, dtype=dtype)
-
-    def repeat(self, a: Array, repeats: Array) -> Array:
-        return self._cp.repeat(a, repeats)
-
-    def concatenate(self, arrays: Sequence[Array]) -> Array:
-        return self._cp.concatenate(arrays)
-
-    def diff(self, a: Array) -> Array:
-        return self._cp.diff(a)
-
-    def cumsum(self, a: Array) -> Array:
-        return self._cp.cumsum(a)
-
-    def flatnonzero(self, a: Array) -> Array:
-        return self._cp.flatnonzero(a)
-
-    def searchsorted(self, a: Array, v: Array, side: str = "left") -> Array:
-        return self._cp.searchsorted(a, v, side=side)
-
-    def lexsort(self, keys: Sequence[Array]) -> Array:
-        return self._cp.lexsort(self._cp.stack(tuple(keys)))
-
-    def add_reduceat(self, a: Array, starts: Array) -> Array:
-        return add_reduceat_fallback(a, starts, self._cp.cumsum)
-
-    def sum(self, a: Array) -> Array:
-        return self._cp.sum(a)
-
-    def min(self, a: Array) -> Array:
-        return self._cp.min(a)
-
-    def max(self, a: Array) -> Array:
-        return self._cp.max(a)
-
-    def all(self, a: Array) -> bool:
-        return bool(self._cp.all(a))
-
-    def astype(self, a: Array, dtype: DType) -> Array:
-        return a.astype(dtype)
-
-    def popcount(self, a: Array) -> Array:
-        cp = self._cp
-        x = a.astype(cp.uint64)
-        m1 = cp.uint64(0x5555555555555555)
-        m2 = cp.uint64(0x3333333333333333)
-        m4 = cp.uint64(0x0F0F0F0F0F0F0F0F)
-        x = x - ((x >> cp.uint64(1)) & m1)
-        x = (x & m2) + ((x >> cp.uint64(2)) & m2)
-        x = (x + (x >> cp.uint64(4))) & m4
-        return ((x * cp.uint64(0x0101010101010101)) >> cp.uint64(56)).astype(cp.int64)
-
-
-class TorchNamespace(ArrayNamespace):
-    """torch on a CUDA device.
-
-    int64-on-GPU caveats: torch has no uint64, so ``popcount`` is the
-    shift-and-mask loop (63 elementwise ops — it only runs on the root
-    table's signature check); ``lexsort`` and ``add_reduceat`` use the
-    shared fallbacks over stable ``argsort``/``cumsum``.  All signature
-    arithmetic stays in non-negative int64 (``<= 62`` color bits), so
-    two's-complement wrap never enters the sweep.
-    """
-
-    name = "torch"
-    device = "cuda"
-
-    def __init__(self, torch: Any) -> None:
-        self._torch = torch
-        self._device = torch.device("cuda")
-        self.int64 = torch.int64
-        self.bool_ = torch.bool
-        self.float64 = torch.float64
-
-    def asarray(self, a: object, dtype: DType = None) -> Array:
-        return self._torch.as_tensor(a, dtype=dtype, device=self._device)
-
-    def empty(self, n: int, dtype: DType = None) -> Array:
-        return self._torch.empty(n, dtype=dtype, device=self._device)
-
-    def zeros(self, n: int, dtype: DType = None) -> Array:
-        return self._torch.zeros(n, dtype=dtype, device=self._device)
-
-    def ones(self, n: int, dtype: DType = None) -> Array:
-        return self._torch.ones(n, dtype=dtype, device=self._device)
-
-    def arange(self, n: int, dtype: DType = None) -> Array:
-        return self._torch.arange(n, dtype=dtype, device=self._device)
-
-    def repeat(self, a: Array, repeats: Array) -> Array:
-        return self._torch.repeat_interleave(a, repeats)
-
-    def concatenate(self, arrays: Sequence[Array]) -> Array:
-        return self._torch.cat(tuple(arrays))
-
-    def diff(self, a: Array) -> Array:
-        return self._torch.diff(a)
-
-    def cumsum(self, a: Array) -> Array:
-        return self._torch.cumsum(a, dim=0)
-
-    def flatnonzero(self, a: Array) -> Array:
-        return self._torch.nonzero(a, as_tuple=False).flatten()
-
-    def searchsorted(self, a: Array, v: Array, side: str = "left") -> Array:
-        return self._torch.searchsorted(a, v, right=(side == "right"))
-
-    def lexsort(self, keys: Sequence[Array]) -> Array:
-        return lexsort_fallback(
-            tuple(keys), lambda k: self._torch.argsort(k, stable=True)
-        )
-
-    def add_reduceat(self, a: Array, starts: Array) -> Array:
-        return add_reduceat_fallback(a, starts, self.cumsum)
-
-    def sum(self, a: Array) -> Array:
-        return self._torch.sum(a)
-
-    def min(self, a: Array) -> Array:
-        return self._torch.min(a)
-
-    def max(self, a: Array) -> Array:
-        return self._torch.max(a)
-
-    def all(self, a: Array) -> bool:
-        return bool(self._torch.all(a))
-
-    def astype(self, a: Array, dtype: DType) -> Array:
-        return a.to(dtype)
-
-    def popcount(self, a: Array) -> Array:
-        out = self._torch.zeros_like(a)
-        for shift in range(63):  # sigs are non-negative (<= 62 color bits)
-            out = out + ((a >> shift) & 1)
-        return out
-
-
-# ----------------------------------------------------------------------
 # resolution
 # ----------------------------------------------------------------------
 
 _NUMPY = NumpyNamespace()
 _STRICT = StrictNamespace()
-#: resolved GPU handles, keyed by spec — constructed once per process
-_GPU_CACHE: Dict[str, ArrayNamespace] = {}
-
-
-def _cupy_namespace() -> ArrayNamespace:
-    if "cupy" in _GPU_CACHE:
-        return _GPU_CACHE["cupy"]
-    try:
-        import cupy  # noqa: F401  # pragma: no cover - exercised only with cupy
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "namespace 'cupy' requested but cupy is not installed"
-        ) from exc
-    try:  # pragma: no cover - exercised only with cupy
-        ndev = int(cupy.cuda.runtime.getDeviceCount())
-    except Exception as exc:  # pragma: no cover - driver errors
-        raise BackendUnavailable(f"cupy cannot see a CUDA runtime: {exc}") from exc
-    if ndev < 1:  # pragma: no cover
-        raise BackendUnavailable("namespace 'cupy' requested but no CUDA device is visible")
-    _GPU_CACHE["cupy"] = CupyNamespace(cupy)  # pragma: no cover
-    return _GPU_CACHE["cupy"]  # pragma: no cover
-
-
-def _torch_namespace() -> ArrayNamespace:
-    if "torch" in _GPU_CACHE:
-        return _GPU_CACHE["torch"]
-    try:
-        import torch  # noqa: F401  # pragma: no cover - exercised only with torch
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "namespace 'torch' requested but torch is not installed"
-        ) from exc
-    if not torch.cuda.is_available():  # pragma: no cover - exercised only with torch
-        raise BackendUnavailable("namespace 'torch' requested but no CUDA device is visible")
-    _GPU_CACHE["torch"] = TorchNamespace(torch)  # pragma: no cover
-    return _GPU_CACHE["torch"]  # pragma: no cover
 
 
 def resolve_namespace(spec: Optional[str] = None) -> ArrayNamespace:
     """Map a spec string to an :class:`ArrayNamespace` handle.
 
-    ``"numpy"`` and ``"strict"`` always succeed; ``"cupy"``/``"torch"``
-    raise :class:`BackendUnavailable` when the package or a CUDA device
-    is missing; ``"auto"`` tries CuPy then torch and degrades cleanly to
-    NumPy.  ``None`` means the process default (the
-    ``REPRO_ARRAY_NAMESPACE`` environment variable, or NumPy).
+    Specs are case-insensitive; anything outside
+    :data:`KNOWN_NAMESPACES` raises :class:`ValueError`.  ``None`` means
+    the process default (the ``REPRO_ARRAY_NAMESPACE`` environment
+    variable, or NumPy).
     """
     if spec is None:
         return default_namespace()
@@ -648,68 +366,18 @@ def resolve_namespace(spec: Optional[str] = None) -> ArrayNamespace:
         return _NUMPY
     if spec == "strict":
         return _STRICT
-    if spec == "cupy":
-        return _cupy_namespace()
-    if spec == "torch":
-        return _torch_namespace()
-    if spec == "auto":
-        for factory in (_cupy_namespace, _torch_namespace):
-            try:
-                return factory()
-            except BackendUnavailable:
-                continue
-        return _NUMPY
     raise ValueError(
         f"unknown array namespace {spec!r}; choose from {', '.join(KNOWN_NAMESPACES)}"
     )
 
 
-def gpu_namespace(spec: Optional[str] = None) -> ArrayNamespace:
-    """A CUDA namespace, or :class:`BackendUnavailable` — never a CPU one.
-
-    The ``ps-gpu`` backend resolves through this: ``None``/``"auto"``
-    prefers CuPy then torch; an explicit CPU spec is a contradiction and
-    raises :class:`ValueError`.
-    """
-    if spec is None or spec == "auto":
-        errors = []
-        for factory in (_cupy_namespace, _torch_namespace):
-            try:
-                return factory()
-            except BackendUnavailable as exc:
-                errors.append(str(exc))
-        raise BackendUnavailable(
-            "ps-gpu needs a CUDA array namespace: " + "; ".join(errors)
-        )
-    ns = resolve_namespace(spec)
-    if ns.device != "cuda":
-        raise ValueError(
-            f"method 'ps-gpu' requires a CUDA namespace, but namespace={spec!r} "
-            "is CPU-bound; drop --namespace or pass cupy/torch"
-        )
-    return ns
-
-
 def default_namespace() -> ArrayNamespace:
     """The process-wide default: ``REPRO_ARRAY_NAMESPACE`` or NumPy.
 
-    An explicit env value resolves strictly (a typo or an unavailable
-    GPU namespace raises rather than silently falling back); set it to
-    ``auto`` for opportunistic GPU use with a clean NumPy fallback.
+    An explicit env value resolves strictly: a typo raises rather than
+    silently falling back.
     """
     return resolve_namespace(os.environ.get(NAMESPACE_ENV_VAR, "") or "numpy")
-
-
-def cpu_namespace() -> ArrayNamespace:
-    """The default namespace coerced onto the host.
-
-    The ``ps-dist`` executor's shared-memory CSR segments and pipe
-    protocol are host-RAM by construction, so its workers and shard
-    combiner run here: ``strict`` passes through (the seam audit still
-    applies), any CUDA default coerces to plain NumPy.
-    """
-    ns = default_namespace()
-    return ns if ns.device == "cpu" else _NUMPY
 
 
 def as_namespace(xp: NamespaceLike) -> ArrayNamespace:
@@ -730,17 +398,6 @@ def as_namespace(xp: NamespaceLike) -> ArrayNamespace:
 # ----------------------------------------------------------------------
 # CLI audit (the backend-matrix CI artifact)
 # ----------------------------------------------------------------------
-
-def _availability() -> Dict[str, Dict[str, object]]:
-    out: Dict[str, Dict[str, object]] = {}
-    for spec in ("numpy", "strict", "cupy", "torch"):
-        try:
-            ns = resolve_namespace(spec)
-            out[spec] = {"available": True, "device": ns.device}
-        except (BackendUnavailable, ValueError) as exc:
-            out[spec] = {"available": False, "reason": str(exc)}
-    return out
-
 
 def _demo_usage() -> Dict[str, object]:
     """Solve a demo (graph, query) under the strict stub; report the tally."""
@@ -768,14 +425,14 @@ def _demo_usage() -> Dict[str, object]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Print the JSON namespace audit (availability + strict-run tally)."""
+    """Print the JSON namespace audit (known specs + strict-run tally)."""
     import json
 
     doc = {
         "schema": "repro-xp-audit/1",
         "env": {NAMESPACE_ENV_VAR: os.environ.get(NAMESPACE_ENV_VAR, "")},
         "audited_primitives": list(AUDITED_PRIMITIVES),
-        "namespaces": _availability(),
+        "namespaces": list(KNOWN_NAMESPACES),
         "strict_demo": _demo_usage(),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -48,7 +48,7 @@ import numpy as np
 from .. import obs
 from ..obs import catalogue as obs_catalogue
 from ..counting.labels import label_masks_from_arrays
-from ..counting.xp import cpu_namespace
+from ..counting.xp import default_namespace
 from ..counting.vectorized import (
     MAX_COLORS_VEC,
     VecBinaryTable,
@@ -245,16 +245,15 @@ def _worker_main(
                     plans[msg[1]] = msg[2].blocks()
                 elif op == "trial":
                     blocks = plans[msg[1]]
-                    # shard tables live in shared memory and cross pipes as
-                    # raw NumPy buffers, so workers pin a CPU namespace —
-                    # strict still applies (it wraps NumPy), CUDA never does
+                    # the process default namespace: under strict the
+                    # shard sweeps stay inside the audited seam too
                     solver = VectorizedSolver(
                         g,
                         colors,
                         msg[2],
                         start_mask=start_mask,
                         vertex_ok=label_masks_from_arrays(labels, msg[3]),
-                        xp=cpu_namespace(),
+                        xp=default_namespace(),
                     )
                     # re-establish the master's trace across the process
                     # boundary: install a local collector so the solver's
@@ -586,28 +585,6 @@ class ShardedExecutor:
             stats.wall_seconds = time.perf_counter() - t0
             self._runs += 1
             return ShardResult(int(count), stats)
-
-    def count_batch(
-        self,
-        plan: Plan,
-        colorings: Sequence[Sequence[int]],
-        num_colors: Optional[int] = None,
-    ) -> List[ShardResult]:
-        """Batch-of-trials protocol: run several colorings back to back.
-
-        The whole batch executes under a single run-lock acquisition, so
-        trials from one adaptive batch are never interleaved with
-        concurrent :meth:`count` calls from other threads sharing the
-        pool (service job workers), and the plan is registered with the
-        workers at most once for the batch.  Each trial is the exact
-        :meth:`count` superstep sequence — results are bit-identical to
-        calling :meth:`count` per coloring in the same order.
-        """
-        with self._run_lock:
-            return [
-                self.count(plan, colors, num_colors=num_colors)
-                for colors in colorings
-            ]
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe snapshot of this pool (surfaced by the service's

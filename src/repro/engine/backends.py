@@ -39,13 +39,7 @@ from ..counting.bruteforce import count_colorful_matches
 from ..counting.solver import METHODS, VEC_METHOD, solve_plan
 from ..counting.treelet import count_colorful_treelet
 from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized
-from ..counting.xp import (
-    ArrayNamespace,
-    BackendUnavailable,
-    NamespaceLike,
-    as_namespace,
-    gpu_namespace,
-)
+from ..counting.xp import NamespaceLike
 
 __all__ = [
     "CountingBackend",
@@ -58,7 +52,6 @@ __all__ = [
     "VEC_AUTO_MIN_SIZE",
     "DIST_AUTO_MIN_SIZE",
     "DIST_METHOD",
-    "GPU_METHOD",
 ]
 
 #: sentinel method name resolved per query by the registry
@@ -77,9 +70,6 @@ DIST_AUTO_MIN_SIZE = 150_000
 
 #: registry name of the sharded multiprocess backend
 DIST_METHOD = "ps-dist"
-
-#: registry name of the CUDA vectorized backend; never picked by ``auto``
-GPU_METHOD = "ps-gpu"
 
 
 class CountingBackend:
@@ -104,14 +94,6 @@ class CountingBackend:
     #: array-namespace knob threaded from EngineConfig/CountRequest)
     uses_namespace: bool = False
 
-    def namespace_handle(self, namespace: NamespaceLike = None) -> ArrayNamespace:
-        """Resolve the array namespace this backend would execute on.
-
-        Only meaningful when ``uses_namespace``; the engine calls this to
-        record the resolved name in RunResult provenance.
-        """
-        return as_namespace(namespace)
-
     def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
         """Whether this backend can count ``query`` under the palette."""
         return True
@@ -135,33 +117,6 @@ class CountingBackend:
     ) -> int:
         """Colorful matches of ``query`` in ``g`` under ``colors``."""
         raise NotImplementedError
-
-    def count_colorful_batch(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colorings: Sequence[Sequence[int]],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-        **extra: object,
-    ) -> List[int]:
-        """Colorful counts for a batch of colorings (one per trial).
-
-        The engine's adaptive scheduler feeds trials through this seam
-        so backends with per-call orchestration cost can amortise it —
-        the sharded ``ps-dist`` executor runs the whole batch under one
-        run-lock acquisition.  The default is the obvious loop and is
-        bit-identical to calling :meth:`count_colorful` per coloring
-        (which the parity tests pin down for every backend).
-        """
-        return [
-            self.count_colorful(
-                g, query, colors, plan=plan, ctx=ctx,
-                num_colors=num_colors, **extra,  # type: ignore[arg-type]
-            )
-            for colors in colorings
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -236,56 +191,8 @@ class VectorizedBackend(CountingBackend):
         self.check(query, num_colors)
         plan = plan if plan is not None else heuristic_plan(query)
         return solve_plan_vectorized(
-            plan, g, np.asarray(colors), num_colors=num_colors,
-            xp=self.namespace_handle(namespace),
+            plan, g, np.asarray(colors), num_colors=num_colors, xp=namespace,
         )
-
-
-class GpuBackend(VectorizedBackend):
-    """``ps-gpu`` — the same vectorized sweep, pinned to a CUDA namespace.
-
-    Identical kernels to ``ps-vec``: the audited seam in
-    :mod:`repro.counting.xp` is the only difference in execution (arrays
-    live on the device; CSR/coloring/label masks transfer at solver
-    construction, one Python scalar comes back per block root).
-
-    Availability is a *device* property: :meth:`supports` is False on
-    hosts without CuPy/torch + CUDA, and ``method="auto"`` never selects
-    this backend — silently moving a workload onto a GPU would change
-    its performance envelope and memory residency behind the caller's
-    back.  Counts remain bit-identical to ``ps``/``ps-vec`` (int64
-    arithmetic is exact on every namespace).
-    """
-
-    name = GPU_METHOD
-
-    def namespace_handle(self, namespace: NamespaceLike = None) -> ArrayNamespace:
-        """A CUDA handle (CuPy preferred, then torch); never a CPU one."""
-        if isinstance(namespace, str) or namespace is None:
-            return gpu_namespace(namespace)
-        if getattr(namespace, "device", "cpu") != "cuda":
-            raise ValueError(
-                f"method 'ps-gpu' requires a CUDA namespace, got {namespace!r}"
-            )
-        return namespace
-
-    def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
-        """Palette fits one int64 word *and* a CUDA namespace is usable."""
-        if not super().supports(query, num_colors):
-            return False
-        try:
-            gpu_namespace(None)
-        except (BackendUnavailable, ValueError):
-            return False
-        return True
-
-    def check(self, query: QueryGraph, num_colors: Optional[int] = None) -> None:
-        """Raise with the device-side reason, not just 'unsupported'."""
-        try:
-            gpu_namespace(None)
-        except BackendUnavailable as exc:
-            raise ValueError(str(exc)) from exc
-        super().check(query, num_colors)
 
 
 class DistributedBackend(CountingBackend):
@@ -334,41 +241,6 @@ class DistributedBackend(CountingBackend):
             g, query, colors, plan=plan, num_colors=num_colors,
             workers=workers, strategy=partition, executor=executor,
         )
-
-    def count_colorful_batch(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colorings: Sequence[Sequence[int]],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-        workers: Optional[int] = None,
-        partition: str = "block",
-        executor: Optional[ShardedExecutor] = None,
-        **extra: object,
-    ) -> List[int]:
-        """Run a batch of trials through the executor's batch protocol.
-
-        One run-lock acquisition covers the whole batch: the trials
-        cannot interleave with concurrent service jobs sharing the
-        pooled executor, and plan registration is amortised once.
-        Counts are bit-identical to per-coloring :meth:`count_colorful`.
-        """
-        self.check(query, num_colors)
-        plan = plan if plan is not None else heuristic_plan(query)
-        if executor is not None:
-            if executor.graph is not g:
-                raise ValueError("executor is bound to a different data graph")
-            return [
-                r.count
-                for r in executor.count_batch(plan, colorings, num_colors=num_colors)
-            ]
-        with ShardedExecutor(g, workers=workers, strategy=partition) as ex:
-            return [
-                r.count
-                for r in ex.count_batch(plan, colorings, num_colors=num_colors)
-            ]
 
 
 class TreeletBackend(CountingBackend):
@@ -582,7 +454,6 @@ def _make_default_registry() -> BackendRegistry:
     for method in METHODS:  # ps, db, ps-even
         reg.register(SolverBackend(method))
     reg.register(VectorizedBackend())
-    reg.register(GpuBackend())
     reg.register(DistributedBackend())
     reg.register(TreeletBackend())
     reg.register(BruteforceBackend())

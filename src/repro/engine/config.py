@@ -159,8 +159,8 @@ class EngineConfig:
     nranks: int = 1
     partition_strategy: str = "block"
     coloring_strategy: str = "uniform"
-    #: array-namespace spec for the vectorized backends ("numpy", "strict",
-    #: "cupy", "torch", "auto"); ``None`` means the process default (the
+    #: array-namespace spec for the vectorized backends ("numpy" or
+    #: "strict"); ``None`` means the process default (the
     #: ``REPRO_ARRAY_NAMESPACE`` env var, or NumPy).  Counts are
     #: bit-identical across namespaces — this knob moves execution, not
     #: semantics — but it still enters the request fingerprint so cached

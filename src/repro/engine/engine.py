@@ -15,8 +15,8 @@ Single queries run through :meth:`CountingEngine.count`, batches through
 :meth:`CountingEngine.count_many`; both accept :class:`CountRequest`
 objects or raw queries plus keyword overrides.  ``workers=N`` fans the
 independent color-coding trials out over processes, bit-identical to the
-sequential path for the same seed (colorings are drawn up front from the
-same deterministic batch).  With a *distributed* backend
+sequential path for the same seed (every trial draws from the same
+deterministic coloring stream).  With a *distributed* backend
 (``method="ps-dist"``) ``workers`` instead sizes the shard pool: each
 trial runs once, sharded across N real worker processes, and the engine
 keeps the pool alive across trials/requests (a fourth cache — close it
@@ -26,6 +26,8 @@ with :meth:`CountingEngine.close` or an engine ``with`` block).
 from __future__ import annotations
 
 import atexit
+import contextlib
+import itertools
 import math
 import multiprocessing as mp
 import threading
@@ -33,16 +35,19 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..distributed.executor import ShardedExecutor
 
 from .. import obs
 from ..obs import catalogue as obs_catalogue
-from ..counting.colorings import coloring_batch, coloring_stream
+from ..counting.colorings import coloring_stream
 from ..counting.bruteforce import count_matches
 from ..counting.estimator import StreamingEstimate, normalization_factor
+from ..counting.xp import as_namespace
 from ..decomposition.planner import heuristic_plan
 from ..decomposition.tree import Plan
 from ..distributed.partition import Partition, make_partition
@@ -59,7 +64,7 @@ __all__ = ["CountingEngine", "EngineStats", "ProgressCallback"]
 if TYPE_CHECKING:
     from typing import Callable
 
-    #: signature of the optional per-batch progress hook: receives the
+    #: signature of the optional per-trial progress hook: receives the
     #: JSON-safe snapshot built by :func:`_progress_snapshot`
     ProgressCallback = Callable[[Dict[str, object]], None]
 else:  # pragma: no cover - runtime alias only
@@ -401,7 +406,7 @@ class CountingEngine:
         """Extra kwargs for a namespace-aware backend: the array-namespace
         spec it resolves at execution time (empty outside the seam).  The
         spec string crosses process boundaries, not a live handle — fork
-        workers resolve their own (GPU contexts don't survive fork)."""
+        workers resolve their own."""
         if not backend.uses_namespace:
             return {}
         return {"namespace": namespace}
@@ -426,7 +431,7 @@ class CountingEngine:
         ``rel_error`` set the scheduler stops as soon as the empirical
         confidence interval meets the target (never under ``min_trials``
         nor over ``max_trials``); ``on_progress``, if given, receives a
-        JSON-safe refining-CI snapshot after every trial batch.
+        JSON-safe refining-CI snapshot after every trial.
 
         ``workers > 1`` and simulated-rank accounting are mutually
         exclusive: with ``nranks > 1`` (or an explicit ``ctx``) trials
@@ -506,7 +511,6 @@ class CountingEngine:
         # the trial policy: an explicit PrecisionSpec, or bare trials
         # desugared to the equivalent fixed spec (validates trials >= 1)
         spec = r.effective_precision()
-        adaptive = spec.is_adaptive
         cap = spec.max_trials
         k = q.k
         kc = r.num_colors if r.num_colors is not None else k
@@ -528,10 +532,7 @@ class CountingEngine:
         distributed = backend.distributed
         # resolve the namespace up front: provenance records what actually
         # ran, and an unavailable explicit namespace fails before any work
-        namespace = (
-            backend.namespace_handle(r.namespace).name
-            if backend.uses_namespace else None
-        )
+        namespace = as_namespace(r.namespace).name if backend.uses_namespace else None
 
         plan, plan_cached = r.plan, r.plan is not None
         if plan is not None:
@@ -558,6 +559,8 @@ class CountingEngine:
             not distributed
             and workers > 1 and cap >= 2 and ctx is None and fork is not None
         )
+        if not parallel and not distributed:
+            workers = 1
         ns_extra = self._namespace_extra(backend, r.namespace)
         extra = {**self._distributed_extra(backend, workers), **ns_extra}
         # the streaming accumulator doubles as the CI provenance for
@@ -566,102 +569,58 @@ class CountingEngine:
         acc = StreamingEstimate(
             scale, rel_variance_bound=estimator_relative_variance_bound(k, kc)
         )
+        counts: List[int] = []
+        trial_times: List[float] = []
+
+        def in_process(batch: List[Sequence[int]]) -> Iterator[int]:
+            for colors in batch:
+                t1 = time.perf_counter()
+                with obs.span("engine.trial", index=len(counts)):
+                    count = backend.count_colorful(
+                        self.graph, q, colors, plan=plan, ctx=ctx,
+                        num_colors=r.num_colors, **extra,
+                    )
+                trial_times.append(time.perf_counter() - t1)
+                yield count
+
         stopped_early = False
         t0 = time.perf_counter()
-        trial_times: Optional[List[float]]
-        counts: List[int]
-        if not adaptive:
-            # fixed policy: the historical path, bit for bit — one batch
-            # of exactly cap colorings, all of them executed
-            colorings = coloring_batch(
-                self.graph.n, kc, cap, r.seed, strategy=r.coloring_strategy
+        # one loop for every policy: the first batch is min_trials
+        # colorings (all of them, cap, for a fixed spec), later ones keep
+        # the pool busy or run one trial at a time; every coloring comes
+        # from one seeded stream, so the first t trials of any run are
+        # bit-identical to a fixed t-trial run (the parity invariant)
+        stream = coloring_stream(self.graph.n, kc, r.seed, strategy=r.coloring_strategy)
+        step = workers if parallel else 1
+        pool_cm = (
+            fork.Pool(
+                processes=workers,
+                initializer=_init_worker,
+                initargs=(
+                    backend, self.graph, q, plan, r.num_colors, ns_extra, trace_id,
+                ),
             )
-            if parallel:
-                with fork.Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        backend, self.graph, q, plan, r.num_colors, ns_extra,
-                        trace_id,
-                    ),
-                ) as pool:
-                    counts = pool.map(_run_trial, colorings)
-                trial_times = None
-                for c in counts:
-                    acc.push(int(c))
-            else:
-                if not distributed:
-                    workers = 1
-                counts = []
-                trial_times = []
-                for colors in colorings:
-                    t1 = time.perf_counter()
-                    with obs.span("engine.trial", index=len(counts)):
-                        counts.append(
-                            backend.count_colorful(
-                                self.graph, q, colors, plan=plan, ctx=ctx,
-                                num_colors=r.num_colors, **extra,
-                            )
-                        )
-                    trial_times.append(time.perf_counter() - t1)
-                    acc.push(int(counts[-1]))
-                    if on_progress is not None:
-                        on_progress(_progress_snapshot(acc, spec))
-        else:
-            # adaptive policy: draw colorings lazily from the *same*
-            # generator stream the fixed path batches from, so the first
-            # t trials of any adaptive run are bit-identical to a fixed
-            # t-trial run under the same seed (the parity invariant)
-            stream = coloring_stream(
-                self.graph.n, kc, r.seed, strategy=r.coloring_strategy
-            )
-            if not parallel and not distributed:
-                workers = 1
-            # batch granularity: enough to keep a process pool busy, one
-            # trial at a time otherwise (finest-grained stopping)
-            step = workers if parallel else 1
-            counts = []
-            trial_times = None
-            pool = None
-            try:
-                if parallel:
-                    pool = fork.Pool(
-                        processes=workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            backend, self.graph, q, plan, r.num_colors, ns_extra,
-                            trace_id,
-                        ),
+            if parallel else contextlib.nullcontext()
+        )
+        with pool_cm as pool:
+            while len(counts) < cap:
+                want = min(spec.min_trials if not counts else step, cap - len(counts))
+                batch = list(itertools.islice(stream, want))
+                with obs.span("engine.batch", start=len(counts), size=want):
+                    results = (
+                        pool.imap(_run_trial, batch) if pool is not None
+                        else in_process(batch)
                     )
-                while len(counts) < cap:
-                    if len(counts) < spec.min_trials:
-                        want = spec.min_trials - len(counts)
-                    else:
-                        want = step
-                    want = max(1, min(want, cap - len(counts)))
-                    batch = [next(stream) for _ in range(want)]
-                    with obs.span("engine.batch", start=len(counts), size=want):
-                        if pool is not None:
-                            new = pool.map(_run_trial, batch)
-                        else:
-                            new = backend.count_colorful_batch(
-                                self.graph, q, batch, plan=plan, ctx=ctx,
-                                num_colors=r.num_colors, **extra,
-                            )
-                    for c in new:
+                    for c in results:
                         acc.push(int(c))
                         counts.append(int(c))
-                    if on_progress is not None:
-                        on_progress(_progress_snapshot(acc, spec))
-                    if len(counts) >= spec.min_trials and acc.precision_met(
-                        spec.rel_error, spec.confidence
-                    ):
-                        stopped_early = len(counts) < cap
-                        break
-            finally:
-                if pool is not None:
-                    pool.close()
-                    pool.join()
+                        if on_progress is not None:
+                            on_progress(_progress_snapshot(acc, spec))
+                # the stopping rule runs at batch ends only: that is what
+                # keeps trials_used independent of how results stream in
+                if spec.is_adaptive and acc.precision_met(spec.rel_error, spec.confidence):
+                    stopped_early = len(counts) < cap
+                    break
         wall = time.perf_counter() - t0
 
         hw = acc.relative_halfwidth(spec.confidence)
@@ -687,7 +646,8 @@ class CountingEngine:
             namespace=namespace,
             plan=plan,
             plan_cached=plan_cached,
-            trial_times=trial_times,
+            # per-trial seconds are only measurable in-process
+            trial_times=None if parallel else trial_times,
             wall_clock=wall,
             load=ctx.stats if ctx is not None and ctx.track else None,
             kappa=self.config.kappa,

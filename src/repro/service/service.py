@@ -25,7 +25,7 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
-from ..counting.xp import BackendUnavailable, resolve_namespace
+from ..counting.xp import resolve_namespace
 from ..engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from ..engine.backends import DEFAULT_REGISTRY
 from ..engine.fingerprint import request_fingerprint
@@ -221,11 +221,11 @@ class CountingService:
                 f"{DEFAULT_REGISTRY.names()} or 'auto'"
             )
         if request.namespace is not None:
-            # resolve eagerly: a typo'd or unavailable namespace (cupy
-            # with no device) is a 400 here, not a dead queued job
+            # resolve eagerly: an unknown namespace is a 400 here, not a
+            # dead queued job
             try:
                 resolve_namespace(str(request.namespace))
-            except (ValueError, BackendUnavailable) as exc:
+            except ValueError as exc:
                 raise BadRequestError(str(exc)) from None
         if not 1 <= int(request.trials) <= MAX_TRIALS:
             raise BadRequestError(f"trials must be in [1, {MAX_TRIALS}]")

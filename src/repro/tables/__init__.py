@@ -1,6 +1,5 @@
 """Signatures (color bitmasks) and projection tables."""
 
-from .oahash import OpenAddressingTable
 from .projection import BinaryTable, PathTable, UnaryTable, table_total
 from .signatures import (
     all_signatures,
@@ -22,7 +21,6 @@ __all__ = [
     "BinaryTable",
     "PathTable",
     "table_total",
-    "OpenAddressingTable",
     "empty_signature",
     "full_signature",
     "color_bit",

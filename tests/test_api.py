@@ -1,52 +1,11 @@
-"""Tests for the removed free-function API and its engine replacements.
-
-``repro.counting.count`` / ``count_colorful`` / ``count_exact`` /
-``make_context`` / ``estimate_matches_parallel`` spent one deprecation
-cycle as delegating shims and are now hard stubs: importable, but
-raising :class:`DeprecationWarning` with a migration hint when called.
-The second half of this module re-asserts the old shim behaviours
-through their documented replacements on :class:`CountingEngine`.
-"""
+"""Tests for the engine's single-coloring, estimate and context API."""
 
 import pytest
 
-from repro import count, count_colorful, count_exact, make_context
-from repro.counting import count_colorful_matches, estimate_matches_parallel
+from repro.counting import count_colorful_matches
 from repro.engine import CountingEngine
 from repro.graph import erdos_renyi
 from repro.query import cycle_query, paper_query
-
-
-class TestRemovedShimsRaise:
-    @pytest.mark.parametrize(
-        "fn, hint",
-        [
-            (count, "CountingEngine.count"),
-            (count_colorful, "CountingEngine.count_colorful"),
-            (count_exact, "CountingEngine.count_exact"),
-            (make_context, "CountingEngine.make_context"),
-            (estimate_matches_parallel, "workers=N"),
-        ],
-    )
-    def test_call_raises_with_migration_hint(self, fn, hint, triangle_graph):
-        with pytest.raises(DeprecationWarning, match="removed") as excinfo:
-            fn(triangle_graph, cycle_query(3))
-        assert hint in str(excinfo.value)
-        assert "docs/API.md" in str(excinfo.value)
-
-    def test_stubs_raise_before_touching_arguments(self):
-        # old code fails at the call with the hint, never with a
-        # TypeError about changed signatures
-        with pytest.raises(DeprecationWarning):
-            count()
-        with pytest.raises(DeprecationWarning):
-            make_context(None, nranks=4, strategy="cyclic", track=False)
-
-    def test_names_still_importable_from_package_root(self):
-        import repro
-
-        for name in ("count", "count_colorful", "count_exact", "make_context"):
-            assert callable(getattr(repro, name))
 
 
 class TestCountColorfulDispatch:

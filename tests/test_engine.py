@@ -125,8 +125,6 @@ class TestBackendParity:
         for name in available_backends():
             backend = get_backend(name)
             if not backend.supports(q):
-                # ps-gpu registers unconditionally but supports() is False
-                # without a CUDA device; auto-dispatch never picks it either
                 continue
             assert engine.count_colorful(q, colors, method=name) == expected, name
 
@@ -232,6 +230,15 @@ class TestWorkersAndContexts:
         assert par.workers == 2 and par.trial_times is None
         assert seq.workers == 1 and len(seq.trial_times) == 4
 
+    def test_parallel_fixed_run_reports_every_trial(self, graph):
+        snapshots = []
+        r = CountingEngine(graph).count(
+            paper_query("glet1"), trials=4, seed=3, workers=2,
+            on_progress=snapshots.append,
+        )
+        assert r.workers == 2
+        assert [s["trials_done"] for s in snapshots] == [1, 2, 3, 4]
+
     def test_nranks_attaches_load_stats(self, graph):
         engine = CountingEngine(graph, nranks=4)
         r = engine.count(paper_query("glet1"), trials=2, seed=0)
@@ -286,40 +293,3 @@ class TestRunResult:
         cfg = EngineConfig(trials=7, seed=5, method="ps")
         req = CountRequest(query=cycle_query(3), seed=1).resolved(cfg)
         assert (req.trials, req.seed, req.method) == (7, 1, "ps")
-
-
-class TestDeprecatedShims:
-    def test_stubs_importable_but_raise(self, graph, rng):
-        from repro.counting import count, count_colorful, count_exact, make_context
-        from repro.counting.api import count as api_count
-
-        assert api_count is count
-        q = cycle_query(3)
-        colors = rng.integers(0, 3, size=graph.n)
-        for call in (
-            lambda: count_colorful(graph, q, colors),
-            lambda: count(graph, q, trials=2, seed=1),
-            lambda: count_exact(graph, q),
-            lambda: make_context(graph, nranks=2),
-        ):
-            with pytest.raises(DeprecationWarning, match="has been removed"):
-                call()
-
-    def test_parallel_stub_raises(self, graph):
-        from repro.counting import estimate_matches_parallel
-
-        q = paper_query("glet1")
-        with pytest.raises(DeprecationWarning, match="workers=N"):
-            estimate_matches_parallel(graph, q, trials=3, seed=2, workers=2)
-
-    def test_engine_replaces_shims(self, graph, rng):
-        q = cycle_query(3)
-        colors = rng.integers(0, 3, size=graph.n)
-        engine = CountingEngine(graph)
-        assert engine.count_colorful(q, colors) == count_colorful_matches(
-            graph, q, colors
-        )
-        assert engine.count_exact(q) == count_matches(graph, q)
-        result = engine.count(q, trials=2, seed=1)
-        assert isinstance(result, EstimateResult)
-        assert engine.make_context(nranks=2).nranks == 2

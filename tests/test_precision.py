@@ -228,6 +228,14 @@ class TestAdaptiveScheduling:
         hw = (result.ci_high - result.ci_low) / (2 * result.estimate)
         assert hw <= 0.5 * (1 + 1e-9)
 
+    def test_in_process_adaptive_run_times_every_trial(self, graph):
+        spec = PrecisionSpec(rel_error=0.5, min_trials=3, max_trials=100)
+        with CountingEngine(graph, EngineConfig(seed=0)) as engine:
+            result = engine.count(paper_query("glet1"), method="ps", precision=spec)
+        assert result.stopped_early
+        assert result.trial_times is not None
+        assert len(result.trial_times) == result.trials_used
+
     def test_cap_binds_under_impossible_target(self, graph):
         spec = PrecisionSpec(rel_error=1e-9, min_trials=3, max_trials=6)
         with CountingEngine(graph, EngineConfig(seed=0)) as engine:

@@ -1,15 +1,11 @@
-"""The array-namespace seam: resolution, strictness, fallbacks, parity.
+"""The array-namespace seam: resolution, strictness, parity.
 
-Four layers of guarantees:
+Three layers of guarantees:
 
-* ``resolve_namespace`` maps spec strings to handles with the documented
-  fallback order — explicit GPU specs fail loudly when the package or
-  device is missing, ``auto`` degrades cleanly to NumPy;
+* ``resolve_namespace`` maps the known spec strings to handles and
+  rejects everything else loudly;
 * ``StrictNamespace`` admits exactly the audited primitive set and
   rejects everything else (the enforcement half of the seam contract);
-* the portable fallbacks (``lexsort_fallback``, ``add_reduceat_fallback``)
-  are bit-identical to the NumPy originals they stand in for on
-  namespaces without the native op;
 * the vectorized solver produces bit-identical counts under NumPy and
   StrictNamespace (hypothesis-fuzzed), and the namespace knob threads
   through engine, fingerprint, wire format, service and CLI.
@@ -26,111 +22,64 @@ from hypothesis import strategies as st
 
 from repro.counting.xp import (
     AUDITED_PRIMITIVES,
-    BackendUnavailable,
     KNOWN_NAMESPACES,
     NAMESPACE_ENV_VAR,
     NumpyNamespace,
     StrictNamespace,
-    add_reduceat_fallback,
     as_namespace,
-    cpu_namespace,
     default_namespace,
-    gpu_namespace,
-    lexsort_fallback,
     resolve_namespace,
 )
 from repro.counting.vectorized import solve_plan_vectorized
 from repro.decomposition.planner import heuristic_plan
 from repro.engine import CountingEngine, CountRequest, EngineConfig, RunResult
-from repro.engine.backends import DEFAULT_REGISTRY, GPU_METHOD, GpuBackend
 from repro.engine.fingerprint import request_fingerprint
 from repro.graph.generators import erdos_renyi
 from repro.query.library import paper_query
 from repro.query.query import QueryGraph
 
-import repro.counting.xp as xp_mod
-
-
-class _FakeCuda:
-    """Stands in for a resolved CUDA handle in ``_GPU_CACHE``."""
-
-    name = "cupy"
-    device = "cuda"
+#: spellings the seam no longer accepts (device namespaces and "auto"),
+#: in mixed case because resolution folds case before matching
+RETIRED_SPECS = ("CuPy", "Torch", "auto")
 
 
 @pytest.fixture
-def no_gpu(monkeypatch):
-    """Guarantee the no-GPU environment the CI runner actually has."""
-    monkeypatch.setattr(xp_mod, "_GPU_CACHE", {})
+def no_env(monkeypatch):
+    """Run with the process default namespace (no env override)."""
     monkeypatch.delenv(NAMESPACE_ENV_VAR, raising=False)
-
-
-@pytest.fixture
-def fake_gpu(monkeypatch):
-    """Pretend cupy resolved (the cache is checked before the import)."""
-    handle = _FakeCuda()
-    monkeypatch.setattr(xp_mod, "_GPU_CACHE", {"cupy": handle})
-    monkeypatch.delenv(NAMESPACE_ENV_VAR, raising=False)
-    return handle
 
 
 class TestResolution:
-    def test_numpy_and_strict_always_resolve(self, no_gpu):
+    def test_numpy_and_strict_always_resolve(self, no_env):
         assert resolve_namespace("numpy").name == "numpy"
         assert resolve_namespace("strict").name == "strict"
         # singletons: repeated resolution shares usage tallies / caches
         assert resolve_namespace("strict") is resolve_namespace("strict")
 
-    def test_explicit_gpu_spec_fails_loudly(self, no_gpu):
-        # cupy/torch are not installed in CI: an explicit request must
-        # raise BackendUnavailable, never silently run on NumPy
-        with pytest.raises(BackendUnavailable, match="cupy"):
-            resolve_namespace("cupy")
-        with pytest.raises(BackendUnavailable, match="torch"):
-            resolve_namespace("torch")
+    def test_explicit_gpu_spec_fails_loudly(self, no_env):
+        # no device namespace exists: the retired specs are unknown,
+        # never a silent NumPy run
+        for spec in RETIRED_SPECS:
+            with pytest.raises(ValueError, match="unknown array namespace"):
+                resolve_namespace(spec)
 
-    def test_auto_degrades_to_numpy(self, no_gpu):
-        assert resolve_namespace("auto").name == "numpy"
-
-    def test_auto_prefers_gpu_when_present(self, fake_gpu):
-        assert resolve_namespace("auto") is fake_gpu
-        assert gpu_namespace(None) is fake_gpu
-
-    def test_unknown_spec_raises_value_error(self, no_gpu):
+    def test_unknown_spec_raises_value_error(self, no_env):
         with pytest.raises(ValueError, match="unknown array namespace"):
             resolve_namespace("numpyy")
 
-    def test_spec_is_case_insensitive(self, no_gpu):
+    def test_spec_is_case_insensitive(self, no_env):
         assert resolve_namespace("NumPy").name == "numpy"
 
-    def test_default_namespace_reads_env(self, no_gpu, monkeypatch):
+    def test_default_namespace_reads_env(self, no_env, monkeypatch):
         assert default_namespace().name == "numpy"
         monkeypatch.setenv(NAMESPACE_ENV_VAR, "strict")
         assert default_namespace().name == "strict"
-        # env "auto" means opportunistic GPU with a clean CPU fallback
-        monkeypatch.setenv(NAMESPACE_ENV_VAR, "auto")
-        assert default_namespace().name == "numpy"
         # a typo'd env var raises instead of silently counting on NumPy
         monkeypatch.setenv(NAMESPACE_ENV_VAR, "cuda!!")
         with pytest.raises(ValueError, match="unknown array namespace"):
             default_namespace()
 
-    def test_cpu_namespace_coerces_cuda_default(self, fake_gpu, monkeypatch):
-        monkeypatch.setenv(NAMESPACE_ENV_VAR, "cupy")
-        assert default_namespace() is fake_gpu
-        # ps-dist shard workers are shared-memory host code: CUDA
-        # defaults coerce to NumPy, strict passes through
-        assert cpu_namespace().name == "numpy"
-        monkeypatch.setenv(NAMESPACE_ENV_VAR, "strict")
-        assert cpu_namespace().name == "strict"
-
-    def test_gpu_namespace_rejects_cpu_spec(self, no_gpu):
-        with pytest.raises(ValueError, match="CPU-bound"):
-            gpu_namespace("numpy")
-        with pytest.raises(BackendUnavailable):
-            gpu_namespace(None)
-
-    def test_as_namespace_duck_types(self, no_gpu):
+    def test_as_namespace_duck_types(self, no_env):
         assert as_namespace(None).name == "numpy"
         assert as_namespace("strict").name == "strict"
         handle = NumpyNamespace()
@@ -163,32 +112,7 @@ class TestStrictNamespace:
         assert strict.usage == {}
 
     def test_known_namespaces_cover_cli_choices(self):
-        assert set(KNOWN_NAMESPACES) == {"numpy", "strict", "cupy", "torch", "auto"}
-
-
-class TestFallbackKernels:
-    """The portable stand-ins must match NumPy's native ops bit for bit."""
-
-    @given(st.integers(0, 2**31), st.integers(1, 200))
-    @settings(max_examples=60, deadline=None)
-    def test_lexsort_fallback_matches_numpy(self, seed, n):
-        rng = np.random.default_rng(seed)
-        keys = [rng.integers(0, 5, size=n) for _ in range(3)]
-        got = lexsort_fallback(keys, lambda a: np.argsort(a, kind="stable"))
-        np.testing.assert_array_equal(got, np.lexsort(tuple(keys)))
-
-    @given(st.integers(0, 2**31), st.integers(1, 200))
-    @settings(max_examples=60, deadline=None)
-    def test_add_reduceat_fallback_matches_numpy(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(-100, 100, size=n)
-        # the seam contract: sorted group starts, starts[0] == 0
-        nseg = int(rng.integers(1, n + 1))
-        starts = np.unique(
-            np.concatenate([[0], rng.integers(0, n, size=nseg - 1)])
-        )
-        got = add_reduceat_fallback(a, starts, np.cumsum)
-        np.testing.assert_array_equal(got, np.add.reduceat(a, starts))
+        assert KNOWN_NAMESPACES == ("numpy", "strict")
 
 
 class TestSolverParity:
@@ -218,38 +142,6 @@ class TestSolverParity:
         assert set(strict.usage) <= set(AUDITED_PRIMITIVES)
 
 
-class TestGpuBackend:
-    def test_registered_but_unsupported_without_device(self, no_gpu):
-        backend = DEFAULT_REGISTRY.get(GPU_METHOD)
-        assert isinstance(backend, GpuBackend)
-        assert backend.uses_namespace
-        assert not backend.supports(paper_query("glet1"))
-
-    def test_supports_with_device(self, fake_gpu):
-        assert DEFAULT_REGISTRY.get(GPU_METHOD).supports(paper_query("glet1"))
-
-    def test_auto_never_picks_ps_gpu(self, fake_gpu, rng=None):
-        # even with a CUDA namespace resolvable, method="auto" must not
-        # silently move counting onto the device
-        rng = np.random.default_rng(3)
-        g = erdos_renyi(30, 0.2, rng, name="auto30")
-        r = CountingEngine(g).count(paper_query("glet1"), trials=1, method="auto")
-        assert r.method != GPU_METHOD
-
-    def test_explicit_ps_gpu_fails_cleanly(self, no_gpu):
-        rng = np.random.default_rng(3)
-        g = erdos_renyi(30, 0.2, rng, name="nogpu30")
-        with pytest.raises(ValueError, match="CUDA"):
-            CountingEngine(g).count(paper_query("glet1"), trials=1, method=GPU_METHOD)
-
-    def test_namespace_handle_rejects_cpu(self, no_gpu):
-        backend = GpuBackend()
-        with pytest.raises((ValueError, BackendUnavailable)):
-            backend.namespace_handle("numpy")
-        with pytest.raises(ValueError, match="CUDA"):
-            backend.namespace_handle(NumpyNamespace())
-
-
 class TestEngineThreading:
     """The namespace knob rides request → engine → provenance → wire."""
 
@@ -257,7 +149,7 @@ class TestEngineThreading:
     def graph(self):
         return erdos_renyi(60, 0.1, np.random.default_rng(11), name="thread60")
 
-    def test_run_result_records_resolved_namespace(self, no_gpu, graph):
+    def test_run_result_records_resolved_namespace(self, no_env, graph):
         engine = CountingEngine(graph)
         q = paper_query("glet1")
         r = engine.count(q, trials=2, method="ps-vec", namespace="strict")
@@ -267,19 +159,19 @@ class TestEngineThreading:
         # non-seam backends record no namespace
         assert engine.count(q, trials=1, method="ps").namespace is None
 
-    def test_counts_identical_across_namespaces(self, no_gpu, graph):
+    def test_counts_identical_across_namespaces(self, no_env, graph):
         engine = CountingEngine(graph)
         q = paper_query("glet2")
         a = engine.count(q, trials=3, seed=5, method="ps-vec", namespace="numpy")
         b = engine.count(q, trials=3, seed=5, method="ps-vec", namespace="strict")
         assert a.colorful_counts == b.colorful_counts
 
-    def test_engine_config_inheritance(self, no_gpu, graph):
+    def test_engine_config_inheritance(self, no_env, graph):
         engine = CountingEngine(graph, EngineConfig(method="ps-vec", namespace="strict"))
         r = engine.count(paper_query("glet1"), trials=1)
         assert r.namespace == "strict"
 
-    def test_parallel_trials_thread_namespace(self, no_gpu, graph):
+    def test_parallel_trials_thread_namespace(self, no_env, graph):
         engine = CountingEngine(graph)
         q = paper_query("glet1")
         seq = engine.count(q, trials=4, seed=2, method="ps-vec", namespace="strict")
@@ -289,7 +181,7 @@ class TestEngineThreading:
         assert par.colorful_counts == seq.colorful_counts
         assert par.namespace == "strict"
 
-    def test_fingerprint_depends_on_namespace(self, no_gpu):
+    def test_fingerprint_depends_on_namespace(self, no_env):
         q = QueryGraph([(0, 1), (1, 2), (2, 0)], name="tri")
         base = CountRequest(query=q, method="ps-vec")
         fp_default = request_fingerprint("d", base)
@@ -320,7 +212,7 @@ class TestEngineThreading:
 
 
 class TestServiceAndCli:
-    def test_service_accepts_and_validates_namespace(self, no_gpu):
+    def test_service_accepts_and_validates_namespace(self, no_env):
         from repro.service.service import BadRequestError, CountingService
 
         rng = np.random.default_rng(1)
@@ -334,14 +226,15 @@ class TestServiceAndCli:
             assert req.namespace == "strict"
             with pytest.raises(BadRequestError, match="unknown array namespace"):
                 service.build_request(q, {"namespace": "nope"})
-            # explicit GPU namespace without a device: eager 400, not a
-            # queued job that can only die with a 500
-            with pytest.raises(BadRequestError, match="cupy"):
-                service.build_request(q, {"namespace": "cupy"})
+            # retired specs: an eager 400, not a queued job that can only
+            # die with a 500
+            for spec in RETIRED_SPECS:
+                with pytest.raises(BadRequestError, match="unknown array namespace"):
+                    service.build_request(q, {"namespace": spec})
         finally:
             service.close()
 
-    def test_cli_namespace_flag(self, no_gpu, tmp_path):
+    def test_cli_namespace_flag(self, no_env, tmp_path):
         from repro.cli import main
 
         rng = np.random.default_rng(0)
@@ -354,7 +247,21 @@ class TestServiceAndCli:
         ])
         assert rc == 0
 
-    def test_audit_cli_emits_json(self, no_gpu):
+    @pytest.mark.parametrize("spec", RETIRED_SPECS)
+    def test_cli_rejects_retired_namespace(self, no_env, spec, capsys):
+        from repro.cli import main
+
+        # argparse choices are case-sensitive: pass the lower-case
+        # spelling the flag used to accept
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "count", "--graph", "condmat", "--query", "glet1",
+                "--namespace", spec.lower(),
+            ])
+        assert exc.value.code == 2
+        assert "--namespace: invalid choice" in capsys.readouterr().err
+
+    def test_audit_cli_emits_json(self, no_env):
         # the backend-matrix CI lane uploads exactly this output
         proc = subprocess.run(
             [sys.executable, "-m", "repro.counting.xp"],
@@ -362,7 +269,7 @@ class TestServiceAndCli:
         )
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "repro-xp-audit/1"
-        assert doc["namespaces"]["numpy"]["available"] is True
+        assert doc["namespaces"] == list(KNOWN_NAMESPACES)
         demo = doc["strict_demo"]
         assert demo["matches_numpy"] is True
         assert set(demo["primitive_calls"]) <= set(AUDITED_PRIMITIVES)
