@@ -70,7 +70,7 @@ def _uneven_query():
 
 def test_ablation_even_split_ps(benchmark):
     from repro.decomposition import choose_plan
-    from repro.counting.estimator import random_coloring
+    from repro.counting.colorings import uniform_coloring
     import numpy as np
 
     rows = []
@@ -84,7 +84,7 @@ def test_ablation_even_split_ps(benchmark):
         g = dataset(gname)
         qname = q.name
         rng = np.random.default_rng(17)
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         ps = run_distributed(g, q, colors, SIM_RANKS_HIGH, method="ps", plan=plan)
         pe = run_distributed(g, q, colors, SIM_RANKS_HIGH, method="ps-even", plan=plan)
         db = run_distributed(g, q, colors, SIM_RANKS_HIGH, method="db", plan=plan)

@@ -14,7 +14,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.bench import dataset, format_table, write_bench_json
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.decomposition import choose_plan
 from repro.engine import EngineConfig
 from repro.query import paper_query
@@ -59,7 +59,7 @@ def bench_plan(query_name: str):
 def bench_coloring(graph_name: str, k: int, trial: int = 0) -> np.ndarray:
     g = dataset(graph_name)
     rng = np.random.default_rng(BENCH_SEED + 1000 * trial + k)
-    return random_coloring(g.n, k, rng)
+    return uniform_coloring(g.n, k, rng)
 
 
 def coloring_for(graph_name: str, query_name: str, trial: int = 0) -> np.ndarray:

@@ -12,7 +12,7 @@ vertices per simulated rank.
 import numpy as np
 
 from repro.bench import SIM_RANKS_HIGH, SIM_RANKS_LOW, dataset
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.distributed import DEFAULT_KAPPA, run_distributed
 from repro.graph.generators import rmat
 from repro.graph.properties import largest_component_subgraph
@@ -78,7 +78,7 @@ def test_fig13_weak_scaling(benchmark):
             g = largest_component_subgraph(
                 rmat(scale, 8, np.random.default_rng(1000 + scale), name=f"rmat{scale}")
             )
-            colors = random_coloring(g.n, q.k, rng)
+            colors = uniform_coloring(g.n, q.k, rng)
             run = run_distributed(g, q, colors, r, method="db", plan=plan)
             # normalised time per unit of work-per-rank
             row[f"time@{r}"] = run.makespan

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro import obs
 from repro.bench import OBS_OVERHEAD_LIMIT, bench_record, dataset, geometric_mean
-from repro.counting.xp import default_namespace
 from repro.engine import CountingEngine
 from repro.query import paper_query
 
@@ -119,15 +118,6 @@ def test_fig9_average_runtime(benchmark):
     benchmark(lambda: count_colorful(g, q, colors, method="db", plan=plan))
 
 
-def _record_namespace(method):
-    """The array namespace a fig9 record ran under (None off the seam).
-
-    ``ps`` is the dict-kernel baseline — no array namespace; ``ps-vec``
-    resolves the process default (numpy, or REPRO_ARRAY_NAMESPACE).
-    """
-    return default_namespace().name if method == "ps-vec" else None
-
-
 def _timed_pair(g, q, plan, colors, repeats=3):
     """Best-of-N ps and ps-vec timings plus their (identical) counts."""
     timings, counts = {}, {}
@@ -174,8 +164,7 @@ def test_fig9_vectorized_speedup(benchmark):
             for method in ("ps", "ps-vec"):
                 records.append(
                     bench_record("fig9_runtime", gname, qname, method,
-                                 timings[method], count=counts[method],
-                                 namespace=_record_namespace(method))
+                                 timings[method], count=counts[method])
                 )
             speedup = timings["ps"] / timings["ps-vec"]
             speedups.append(speedup)
@@ -197,8 +186,7 @@ def test_fig9_vectorized_speedup(benchmark):
     for method in ("ps", "ps-vec"):
         records.append(
             bench_record("fig9_runtime", LABELED_GRAPH, lq.name, method,
-                         ltimings[method], count=lcounts[method], labeled=True,
-                         namespace=_record_namespace(method))
+                         ltimings[method], count=lcounts[method], labeled=True)
         )
     labeled_speedup = ltimings["ps"] / ltimings["ps-vec"]
     rows.append(

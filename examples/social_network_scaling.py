@@ -15,7 +15,7 @@ Run:  python examples/social_network_scaling.py
 
 import numpy as np
 
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.decomposition import choose_plan
 from repro.distributed import compare_methods, strong_scaling
 from repro.graph import grid_road_network
@@ -46,7 +46,7 @@ def main() -> None:
     print(f"{'network':8s} {'skew':>6s} {'count':>12s} {'IF=T(PS)/T(DB)':>15s} "
           f"{'imb PS':>7s} {'imb DB':>7s}")
     for g in (social, road):
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         cmp = compare_methods(g, q, colors, nranks=RANKS, ps_plan=plan)
         print(
             f"{g.name:8s} {g.degree_skew():6.1f} {cmp.db.count:12,d} "
@@ -55,7 +55,7 @@ def main() -> None:
         )
 
     print("\nStrong scaling of DB on the social network (modeled makespan):")
-    colors = random_coloring(social.n, q.k, rng)
+    colors = uniform_coloring(social.n, q.k, rng)
     curve = strong_scaling(social, q, colors, ranks=[1, 2, 4, 8, 16], plan=plan)
     for r, s in zip(curve.ranks, curve.speedups()):
         bar = "#" * int(round(4 * s))

@@ -138,7 +138,7 @@ class AnalysisConfig:
 
     # -- RP002: dtype discipline -------------------------------------------
     rp002_scopes: Tuple[str, ...] = (
-        "counting/vectorized.py", "counting/xp.py", "counting/colorings.py",
+        "counting/vectorized.py", "counting/colorings.py",
         "counting/labels.py", "counting/treelet.py",
         "distributed/executor.py", "distributed/runtime.py",
         "distributed/partition.py", "graph/graph.py",
@@ -260,8 +260,7 @@ class AnalysisConfig:
     # -- RP006: typed public seams ------------------------------------------
     rp006_scopes: Tuple[str, ...] = (
         "repro/engine/", "repro/service/", "repro/analysis/", "repro/obs/",
-        "graph/graph.py", "counting/vectorized.py", "counting/xp.py",
-        "distributed/executor.py",
+        "graph/graph.py", "counting/vectorized.py", "distributed/executor.py",
     )
 
     #: committed allowlist budget for inline suppressions

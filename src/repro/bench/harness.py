@@ -64,8 +64,7 @@ __all__ = [
     "PRECISION_REL_ERROR",
     "PRECISION_CONFIDENCE",
     "PRECISION_MAX_TRIALS",
-    "STRICT_OVERHEAD_CELL",
-    "STRICT_OVERHEAD_LIMIT",
+    "OBS_OVERHEAD_CELL",
     "OBS_OVERHEAD_LIMIT",
     "SCALING_GRID",
     "SCALING_WORKERS",
@@ -250,19 +249,13 @@ PERF_SMOKE_GRID = (
     ("enron", "youtube", "db"),
 )
 
-#: the strict-namespace datapoint rides the perf-smoke run on this cell:
-#: ps-vec through the audited StrictNamespace stub must stay within this
-#: factor of the raw-NumPy timing of the same cell.  The seam adds one
-#: Python method call per whole-table primitive — per-call overhead is
-#: amortized over array-sized work, so 1.3x is generous headroom
-STRICT_OVERHEAD_CELL = ("condmat", "wiki")
-STRICT_OVERHEAD_LIMIT = 1.3
-
-#: observability-overhead datapoint on the same cell: ps-vec with
-#: :mod:`repro.obs` enabled (the default — spans/counters present but
-#: nobody collecting) must stay within this factor of the same run with
-#: the kill-switch thrown.  A dormant span costs two module-attribute
-#: reads per call site, so instrumentation must be within noise of free
+#: observability-overhead datapoint, riding the perf-smoke run on this
+#: cell: ps-vec with :mod:`repro.obs` enabled (the default — spans/counters
+#: present but nobody collecting) must stay within this factor of the
+#: same run with the kill-switch thrown.  A dormant span costs two
+#: module-attribute reads per call site, so instrumentation must be
+#: within noise of free
+OBS_OVERHEAD_CELL = ("condmat", "wiki")
 OBS_OVERHEAD_LIMIT = 1.05
 
 
@@ -432,66 +425,44 @@ def run_perf_smoke(
             )
         )
 
-    # strict-namespace datapoint: same cell, same plan/coloring, ps-vec
-    # through the audited StrictNamespace stub.  The record carries the
-    # measured overhead ratio; main() gates it at STRICT_OVERHEAD_LIMIT.
-    # The ratio is best-of-N strict over best-of-N numpy timed
-    # back-to-back here (one warmup each, repeat floor of 3) — the grid's
-    # numpy record above may be a single cold sample under --repeats 1,
-    # and a ratio of two cold singles is all noise.
+    # obs-overhead datapoint: the same ps-vec cell with the observability
+    # layer kill-switched off; main() gates enabled-over-disabled at
+    # OBS_OVERHEAD_LIMIT.  Both sides are best-of-N timed back-to-back
+    # here (one warmup each, repeat floor of 3) — the grid's record above
+    # may be a single cold sample under --repeats 1, and a ratio of two
+    # cold singles is all noise.
+    from .. import obs
     from ..engine.backends import DEFAULT_REGISTRY
 
-    gname, qname = STRICT_OVERHEAD_CELL
+    gname, qname = OBS_OVERHEAD_CELL
     engine = engines.setdefault(gname, engine_for(dataset(gname), config))
     q = paper_query(qname)
     colors = _bench_coloring(engine, q.k)
     plan = engine.plan_for(q)
     vec = DEFAULT_REGISTRY.get("ps-vec")
 
-    def _best_of(namespace: str, reps: int) -> Tuple[float, int]:
-        vec.count_colorful(engine.graph, q, colors, plan=plan, namespace=namespace)
+    def _best_of(reps: int) -> Tuple[float, int]:
+        vec.count_colorful(engine.graph, q, colors, plan=plan)
         best, count = math.inf, 0
         for _ in range(reps):
             t0 = time.perf_counter()
-            count = vec.count_colorful(
-                engine.graph, q, colors, plan=plan, namespace=namespace
-            )
+            count = vec.count_colorful(engine.graph, q, colors, plan=plan)
             best = min(best, time.perf_counter() - t0)
         return best, count
 
     reps = max(3, repeats)
-    numpy_best, numpy_count = _best_of("numpy", reps)
-    best, count = _best_of("strict", reps)
-    assert count == numpy_count, "strict namespace changed the count"
-    numpy_ref = next(
-        r for r in records if r["key"] == f"perf_smoke/{gname}/{qname}/ps-vec"
-    )
-    assert count == numpy_ref["count"], "strict namespace changed the count"
-    records.append(
-        bench_record(
-            "perf_smoke", gname, qname, "ps-vec@strict", best,
-            count=count, calibrated=best / cal, namespace="strict",
-            overhead_vs_numpy=best / numpy_best,
-        )
-    )
-
-    # obs-overhead datapoint: the same ps-vec cell with the observability
-    # layer kill-switched off.  ``numpy_best`` above ran with obs enabled
-    # (the default: spans and counters present, nobody collecting);
-    # main() gates enabled-over-disabled at OBS_OVERHEAD_LIMIT.
-    from .. import obs
-
+    on_best, on_count = _best_of(reps)
     obs.disable()
     try:
-        off_best, off_count = _best_of("numpy", reps)
+        off_best, off_count = _best_of(reps)
     finally:
         obs.enable()
-    assert off_count == numpy_count, "obs kill-switch changed the count"
+    assert off_count == on_count, "obs kill-switch changed the count"
     records.append(
         bench_record(
             "perf_smoke", gname, qname, "ps-vec@obs-off", off_best,
             count=off_count, calibrated=off_best / cal,
-            overhead_obs_enabled=numpy_best / off_best,
+            overhead_obs_enabled=on_best / off_best,
         )
     )
     return records
@@ -869,18 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # status is returned: one noisy ratio must not hide the regression
     # table or skip the --emit-json record
     status = 0
-    strict = next((r for r in records if r.get("namespace") == "strict"), None)
-    if strict is not None:
-        overhead = float(strict["overhead_vs_numpy"])
-        print(f"[strict-namespace overhead vs raw NumPy: {overhead:.2f}x]")
-        if overhead > STRICT_OVERHEAD_LIMIT:
-            print(
-                f"FAIL: strict-namespace seam overhead {overhead:.2f}x > "
-                f"allowed {STRICT_OVERHEAD_LIMIT:g}x on "
-                f"{'/'.join(STRICT_OVERHEAD_CELL)}"
-            )
-            status = 1
-
     obs_rec = next(
         (r for r in records if str(r["key"]).endswith("ps-vec@obs-off")), None
     )
@@ -892,7 +851,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(
                 f"FAIL: obs instrumentation overhead {obs_overhead:.2f}x > "
                 f"allowed {OBS_OVERHEAD_LIMIT:g}x on "
-                f"{'/'.join(STRICT_OVERHEAD_CELL)}"
+                f"{'/'.join(OBS_OVERHEAD_CELL)}"
             )
             status = 1
 

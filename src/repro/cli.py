@@ -22,7 +22,6 @@ from typing import List, Optional
 import numpy as np
 
 from .bench.datasets import dataset, dataset_names
-from .counting.xp import KNOWN_NAMESPACES
 from .decomposition.enumeration import enumerate_plans
 from .decomposition.planner import choose_plan
 from .graph.io import read_edge_list
@@ -146,7 +145,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
                         method=args.method,
                         num_colors=args.num_colors,
                         workers=args.workers,
-                        namespace=args.namespace,
                     )
                 obs.write_chrome_trace(args.trace, trace)
             else:
@@ -158,7 +156,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
                     method=args.method,
                     num_colors=args.num_colors,
                     workers=args.workers,
-                    namespace=args.namespace,
                 )
     except (KeyError, OSError, ValueError) as exc:
         return _cli_error(exc)
@@ -380,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--partition", choices=("block", "cyclic", "hash"), default="block",
         help="vertex partition strategy for ps-dist shards (default: block)",
-    )
-    p_count.add_argument(
-        "--namespace", choices=KNOWN_NAMESPACES, default=None,
-        help="array namespace for ps-vec: numpy, or strict (audited CPU "
-        "stub); default: the REPRO_ARRAY_NAMESPACE env var, else numpy",
     )
     p_count.add_argument(
         "--labels", default=None, metavar="SPEC",

@@ -13,14 +13,12 @@ from .estimator import (
     EstimateResult,
     estimate_matches,
     normalization_factor,
-    random_coloring,
 )
 from .labels import label_masks, label_masks_from_arrays
 from .ps import count_colorful_ps
 from .solver import ALL_METHODS, METHODS, VEC_METHOD, BlockSolver, solve_plan
 from .treelet import count_colorful_treelet
 from .vectorized import count_colorful_ps_vec, solve_plan_vectorized
-from .xp import ArrayNamespace, StrictNamespace, resolve_namespace
 
 __all__ = [
     "count_matches",
@@ -40,14 +38,10 @@ __all__ = [
     "EstimateResult",
     "estimate_matches",
     "normalization_factor",
-    "random_coloring",
     "uniform_coloring",
     "balanced_coloring",
     "coloring_batch",
     "color_class_sizes",
     "verify_counting",
     "VerificationReport",
-    "ArrayNamespace",
-    "StrictNamespace",
-    "resolve_namespace",
 ]

@@ -27,6 +27,7 @@ __all__ = [
     "coloring_batch",
     "coloring_stream",
     "color_class_sizes",
+    "COLORING_STRATEGIES",
 ]
 
 
@@ -47,8 +48,9 @@ def balanced_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return palette
 
 
-#: coloring strategies by name
-_DRAWS = {"uniform": uniform_coloring, "balanced": balanced_coloring}
+#: coloring strategies by name (the ``strategy`` values
+#: :func:`coloring_stream` accepts)
+COLORING_STRATEGIES = {"uniform": uniform_coloring, "balanced": balanced_coloring}
 
 
 def coloring_stream(
@@ -66,7 +68,7 @@ def coloring_stream(
     raises :class:`ValueError` here, before the first draw.
     """
     try:
-        draw = _DRAWS[strategy]
+        draw = COLORING_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown coloring strategy {strategy!r}") from None
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from ..graph.graph import Graph
 from ..query.automorphisms import automorphism_count
 from ..query.query import QueryGraph
 from ..theory.bounds import chebyshev_halfwidth, student_t_quantile
+from .colorings import uniform_coloring
 from .solver import solve_plan
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "StreamingEstimate",
     "estimate_matches",
     "normalization_factor",
-    "random_coloring",
 ]
 
 
@@ -50,11 +50,6 @@ def normalization_factor(k: int, num_colors: Optional[int] = None) -> float:
     for i in range(k):
         falling *= c - i
     return float(c**k) / falling
-
-
-def random_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random coloring of ``n`` vertices with ``k`` colors."""
-    return rng.integers(0, k, size=n, dtype=np.int64)
 
 
 @dataclass
@@ -210,7 +205,7 @@ def estimate_matches(
     kc = num_colors if num_colors is not None else k
     counts: List[int] = []
     for _ in range(trials):
-        colors = random_coloring(g.n, kc, rng)
+        colors = uniform_coloring(g.n, kc, rng)
         counts.append(
             solve_plan(plan, g, colors, ctx=ctx, method=method, num_colors=kc)
         )

@@ -1,4 +1,4 @@
-"""Vectorized PS kernels — the ``ps-vec`` backend (array-API, CSR-batched).
+"""Vectorized PS kernels — the ``ps-vec`` backend (NumPy, CSR-batched).
 
 The reference kernels in :mod:`repro.counting.kernels` walk one partial
 match at a time: a Python loop pops a ``(u, v, sig) -> count`` dict entry,
@@ -21,21 +21,14 @@ the same dynamic program as whole-table array operations:
   sum (this is where ``add.at`` semantics appear — we use the
   sorted-``reduceat`` form because it is deterministic and faster).
 
-Every array operation goes through an :class:`~repro.counting.xp.ArrayNamespace`
-handle (the audited seam in :mod:`repro.counting.xp`) — NumPy by
-default, the strict CPU stub under ``REPRO_ARRAY_NAMESPACE=strict``.
-This module deliberately does **not**
-import NumPy: a new kernel either speaks the audited primitive set or
-fails the strict CI lane.
-
 Counts use ``int64`` accumulators (the dict kernels use Python bignums).
 Guards raise ``OverflowError`` before results can wrap: per-entry counts
 entering a product join must stay below ``2^31`` (so products fit in 62
 bits), and every aggregation/total is preceded by a float64 whole-table
 sum check against ``2^62``.  Within those bounds the results are
 **bit-identical** to ``method="ps"`` on the same plan and coloring —
-asserted across the whole query library by the parity tests, and across
-namespaces by the differential matrix.
+asserted across the whole query library by the parity tests and the
+differential matrix.
 
 Only the PS splitting strategy is vectorized: PS never records interior
 boundary nodes, so its tables stay rectangular ``(u, v, sig)`` arrays.
@@ -47,6 +40,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..decomposition.blocks import CYCLE, LEAF, SINGLETON, Block
 from ..decomposition.planner import heuristic_plan
@@ -57,7 +52,6 @@ from .labels import label_masks
 # the cycle-walk order must stay in lockstep with the dict solver for the
 # ps/ps-vec bit-identical invariant to hold — share one implementation
 from .solver import _ccw_labels, _cw_labels
-from .xp import Array, ArrayNamespace, NamespaceLike, as_namespace, default_namespace
 
 __all__ = [
     "VecUnaryTable",
@@ -80,84 +74,90 @@ MAX_COLORS_VEC = 62
 _SUM_LIMIT = float(2**62)
 
 
-def _popcount(a: Array, xp: Optional[ArrayNamespace] = None) -> Array:
-    """Per-element population count of an int64 array."""
-    xp = xp if xp is not None else default_namespace()
-    return xp.popcount(a)
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """Per-element population count of an int64 array (values >= 0).
+
+    NumPy >= 2 has ``bitwise_count``; older NumPy takes the SWAR
+    bit-twiddling fallback, which yields the same counts.
+    """
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(a).astype(np.int64)
+    x = a.astype(np.uint64)
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = x - ((x >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def _group_sum(
-    cols: Sequence[Array], cnt: Array, xp: Optional[ArrayNamespace] = None
-) -> Tuple[List[Array], Array]:
+    cols: Sequence[np.ndarray], cnt: np.ndarray
+) -> Tuple[List[np.ndarray], np.ndarray]:
     """Aggregate duplicate keys: lexsort by ``cols`` then segment-sum ``cnt``.
 
     Returns the unique key columns (sorted ascending, first column most
     significant) and the per-key count sums — the array analogue of the
     dict kernels' ``table.add`` accumulation.
     """
-    xp = xp if xp is not None else default_namespace()
     if len(cnt) == 0:
         return [c[:0] for c in cols], cnt[:0]
     # conservative overflow check: the whole-table float64 total bounds
     # every segment sum, so staying under 2^62 rules out int64 wrap
-    if float(xp.sum(xp.astype(cnt, xp.float64))) > _SUM_LIMIT:
+    if float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
         raise OverflowError(
             "ps-vec table aggregation would exceed int64; rerun with the "
             "arbitrary-precision 'ps' backend"
         )
-    order = xp.lexsort(tuple(reversed(cols)))
+    order = np.lexsort(tuple(reversed(cols)))
     cols = [c[order] for c in cols]
     cnt = cnt[order]
-    boundary = xp.zeros(len(cnt), dtype=xp.bool_)
+    boundary = np.zeros(len(cnt), dtype=np.bool_)
     boundary[0] = True
     for c in cols:
         boundary[1:] |= c[1:] != c[:-1]
-    starts = xp.flatnonzero(boundary)
-    return [c[starts] for c in cols], xp.add_reduceat(cnt, starts)
+    starts = np.flatnonzero(boundary)
+    return [c[starts] for c in cols], np.add.reduceat(cnt, starts)
 
 
-def _expand(
-    starts: Array, lens: Array, xp: Optional[ArrayNamespace] = None
-) -> Tuple[Array, Array]:
+def _expand(starts: np.ndarray, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten per-entry ranges ``[starts, starts+lens)`` into gather indices.
 
     Returns ``(rep, pos)``: ``rep[i]`` is the source entry of flat slot
     ``i`` and ``pos[i]`` the absolute position inside the indexed array.
     """
-    xp = xp if xp is not None else default_namespace()
-    total = int(xp.sum(lens)) if len(lens) else 0
+    total = int(np.sum(lens)) if len(lens) else 0
     if total == 0:
-        empty = xp.empty(0, dtype=xp.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    rep = xp.repeat(xp.arange(len(lens), dtype=xp.int64), lens)
-    offsets = xp.cumsum(lens) - lens
-    pos = xp.arange(total, dtype=xp.int64) - offsets[rep] + starts[rep]
+    rep = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    offsets = np.cumsum(lens) - lens
+    pos = np.arange(total, dtype=np.int64) - offsets[rep] + starts[rep]
     return rep, pos
 
 
-def _check_counts(cnt: Array, xp: Optional[ArrayNamespace] = None) -> None:
+def _check_counts(cnt: np.ndarray) -> None:
     """Refuse int64 ranges where a pairwise product could overflow.
 
     Counts are non-negative by construction (tables seed at 1 and only
     sum/multiply under these guards), so the max bounds the magnitude.
     """
-    xp = xp if xp is not None else default_namespace()
-    if len(cnt) and int(xp.max(cnt)) >= 1 << 31:
+    if len(cnt) and int(np.max(cnt)) >= 1 << 31:
         raise OverflowError(
             "ps-vec count tables exceeded 2^31 per entry; rerun with the "
             "arbitrary-precision 'ps' backend"
         )
 
 
-def _checked_total(cnt: Array, xp: Optional[ArrayNamespace] = None) -> int:
+def _checked_total(cnt: np.ndarray) -> int:
     """Sum counts, refusing totals that could wrap an int64 accumulator."""
-    xp = xp if xp is not None else default_namespace()
-    if len(cnt) and float(xp.sum(xp.astype(cnt, xp.float64))) > _SUM_LIMIT:
+    if len(cnt) and float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
         raise OverflowError(
             "ps-vec total count would exceed int64; rerun with the "
             "arbitrary-precision 'ps' backend"
         )
-    return int(xp.sum(cnt)) if len(cnt) else 0
+    return int(np.sum(cnt)) if len(cnt) else 0
 
 
 class VecUnaryTable:
@@ -167,22 +167,16 @@ class VecUnaryTable:
     signature ``sig[i]``; rows are unique and sorted by ``(u, sig)``.
     """
 
-    __slots__ = ("boundary", "u", "sig", "cnt", "xp")
+    __slots__ = ("boundary", "u", "sig", "cnt")
 
     def __init__(
-        self,
-        boundary: Node,
-        u: Array,
-        sig: Array,
-        cnt: Array,
-        xp: Optional[ArrayNamespace] = None,
+        self, boundary: Node, u: np.ndarray, sig: np.ndarray, cnt: np.ndarray
     ) -> None:
         self.boundary = boundary
         self.u, self.sig, self.cnt = u, sig, cnt
-        self.xp = xp if xp is not None else default_namespace()
 
     def total(self) -> int:
-        return _checked_total(self.cnt, self.xp)
+        return _checked_total(self.cnt)
 
     def __len__(self) -> int:
         return len(self.cnt)
@@ -195,29 +189,25 @@ class VecBinaryTable:
     the ``(u, v)`` pair) reduce to ``searchsorted`` range lookups.
     """
 
-    __slots__ = ("boundary", "u", "v", "sig", "cnt", "xp")
+    __slots__ = ("boundary", "u", "v", "sig", "cnt")
 
     def __init__(
         self,
         boundary: Tuple[Node, Node],
-        u: Array,
-        v: Array,
-        sig: Array,
-        cnt: Array,
-        xp: Optional[ArrayNamespace] = None,
+        u: np.ndarray,
+        v: np.ndarray,
+        sig: np.ndarray,
+        cnt: np.ndarray,
     ) -> None:
         self.boundary = boundary
         self.u, self.v, self.sig, self.cnt = u, v, sig, cnt
-        self.xp = xp if xp is not None else default_namespace()
 
     def transpose(self) -> "VecBinaryTable":
-        (u, v, sig), cnt = _group_sum((self.v, self.u, self.sig), self.cnt, self.xp)
-        return VecBinaryTable(
-            (self.boundary[1], self.boundary[0]), u, v, sig, cnt, self.xp
-        )
+        (u, v, sig), cnt = _group_sum((self.v, self.u, self.sig), self.cnt)
+        return VecBinaryTable((self.boundary[1], self.boundary[0]), u, v, sig, cnt)
 
     def total(self) -> int:
-        return int(self.xp.sum(self.cnt)) if len(self.cnt) else 0
+        return int(np.sum(self.cnt)) if len(self.cnt) else 0
 
     def __len__(self) -> int:
         return len(self.cnt)
@@ -232,7 +222,7 @@ class VecPathTable:
 
     __slots__ = ("u", "v", "sig", "cnt")
 
-    def __init__(self, u: Array, v: Array, sig: Array, cnt: Array) -> None:
+    def __init__(self, u: np.ndarray, v: np.ndarray, sig: np.ndarray, cnt: np.ndarray) -> None:
         self.u, self.v, self.sig, self.cnt = u, v, sig, cnt
 
     def __len__(self) -> int:
@@ -254,35 +244,31 @@ class VectorizedSolver:
     executor builds on.  Child tables must then cover *all* vertices:
     :meth:`inject` installs externally combined (full) child results.
 
-    ``xp`` selects the array namespace (None: the process default).  All
-    inputs — CSR arrays, the coloring, shard and label masks — enter the
-    namespace through ``xp.asarray`` here, once per solver.
+    All inputs — CSR arrays, the coloring, shard and label masks — are
+    converted to int64/bool arrays here, once per solver.
     """
 
     def __init__(
         self,
         g: Graph,
-        colors: Array,
+        colors: np.ndarray,
         k: int,
-        start_mask: Optional[Array] = None,
-        vertex_ok: Optional[Dict[Node, Array]] = None,
-        xp: NamespaceLike = None,
+        start_mask: Optional[np.ndarray] = None,
+        vertex_ok: Optional[Dict[Node, np.ndarray]] = None,
     ) -> None:
-        self.xp = as_namespace(xp)
-        xpn = self.xp
         self.g = g
         indptr, indices = g.to_csr()
-        self._indptr = xpn.asarray(indptr, dtype=xpn.int64)
-        self._indices = xpn.asarray(indices, dtype=xpn.int64)
-        self._degrees = xpn.asarray(g.degrees, dtype=xpn.int64)
-        self.colors = xpn.asarray(colors, dtype=xpn.int64)
+        self._indptr = np.asarray(indptr, dtype=np.int64)
+        self._indices = np.asarray(indices, dtype=np.int64)
+        self._degrees = np.asarray(g.degrees, dtype=np.int64)
+        self.colors = np.asarray(colors, dtype=np.int64)
         self.k = k
         self.start_mask = (
-            xpn.asarray(start_mask, dtype=xpn.bool_) if start_mask is not None else None
+            np.asarray(start_mask, dtype=np.bool_) if start_mask is not None else None
         )
         #: label-compatibility masks for labeled queries (empty = unlabeled)
         self.vertex_ok = {
-            node: xpn.asarray(mask, dtype=xpn.bool_)
+            node: np.asarray(mask, dtype=np.bool_)
             for node, mask in (vertex_ok or {}).items()
         }
         #: per-color signature bits, indexed by data vertex color
@@ -292,7 +278,7 @@ class VectorizedSolver:
         self._retired: List[object] = []
 
     def _empty_path(self) -> VecPathTable:
-        empty = self.xp.empty(0, dtype=self.xp.int64)
+        empty = np.empty(0, dtype=np.int64)
         return VecPathTable(empty, empty, empty, empty)
 
     def inject(self, block: Block, result: object) -> None:
@@ -316,8 +302,8 @@ class VectorizedSolver:
 
     def _init_from_graph(
         self,
-        ok_u: Optional[Array] = None,
-        ok_v: Optional[Array] = None,
+        ok_u: Optional[np.ndarray] = None,
+        ok_v: Optional[np.ndarray] = None,
     ) -> VecPathTable:
         """Seed cnt(u, v, {χu, χv}) = 1 from every directed edge, batched.
 
@@ -328,8 +314,8 @@ class VectorizedSolver:
         ``ps-dist`` executor.  ``ok_u``/``ok_v`` are the label-
         compatibility masks of the path's first two query nodes.
         """
-        xp, colors, bit = self.xp, self.colors, self.bit
-        u = xp.repeat(xp.arange(self.g.n, dtype=xp.int64), self._degrees)
+        colors, bit = self.colors, self.bit
+        u = np.repeat(np.arange(self.g.n, dtype=np.int64), self._degrees)
         keep = colors[u] != colors[self._indices]
         if self.start_mask is not None:
             keep &= self.start_mask[u]
@@ -338,7 +324,7 @@ class VectorizedSolver:
         if ok_v is not None:
             keep &= ok_v[self._indices]
         u, v = u[keep], self._indices[keep]
-        return VecPathTable(u, v, bit[u] | bit[v], xp.ones(len(u), dtype=xp.int64))
+        return VecPathTable(u, v, bit[u] | bit[v], np.ones(len(u), dtype=np.int64))
 
     def _init_from_child(self, child: VecBinaryTable) -> VecPathTable:
         """Seed from an annotated edge's child projection table (copy-free)."""
@@ -348,22 +334,22 @@ class VectorizedSolver:
         return VecPathTable(child.u[keep], child.v[keep], child.sig[keep], child.cnt[keep])
 
     def _extend_with_graph(
-        self, t: VecPathTable, ok_w: Optional[Array] = None
+        self, t: VecPathTable, ok_w: Optional[np.ndarray] = None
     ) -> VecPathTable:
         """EdgeJoin with the data graph: extend every path by every neighbour
         of its end vertex whose color is unused, in one batched gather.
         ``ok_w`` masks the new vertex by label compatibility."""
         if len(t) == 0:
             return self._empty_path()
-        xp, colors, bit = self.xp, self.colors, self.bit
-        rep, pos = _expand(self._indptr[t.v], self._degrees[t.v], xp)
+        colors, bit = self.colors, self.bit
+        rep, pos = _expand(self._indptr[t.v], self._degrees[t.v])
         w = self._indices[pos]
         sig = t.sig[rep]
         keep = ((sig >> colors[w]) & 1) == 0
         if ok_w is not None:
             keep &= ok_w[w]
         rep, w, sig = rep[keep], w[keep], sig[keep]
-        (u, v, sig), cnt = _group_sum((t.u[rep], w, sig | bit[w]), t.cnt[rep], xp)
+        (u, v, sig), cnt = _group_sum((t.u[rep], w, sig | bit[w]), t.cnt[rep])
         return VecPathTable(u, v, sig, cnt)
 
     def _extend_with_child(self, t: VecPathTable, child: VecBinaryTable) -> VecPathTable:
@@ -374,17 +360,17 @@ class VectorizedSolver:
         """
         if len(t) == 0 or len(child) == 0:
             return self._empty_path()
-        xp, bit = self.xp, self.bit
-        lo = xp.searchsorted(child.u, t.v, side="left")
-        hi = xp.searchsorted(child.u, t.v, side="right")
-        rep, pos = _expand(lo, hi - lo, xp)
+        bit = self.bit
+        lo = np.searchsorted(child.u, t.v, side="left")
+        hi = np.searchsorted(child.u, t.v, side="right")
+        rep, pos = _expand(lo, hi - lo)
         sig1, sig2 = t.sig[rep], child.sig[pos]
         keep = (sig1 & sig2) == bit[t.v[rep]]
         rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
-        _check_counts(t.cnt, xp)
-        _check_counts(child.cnt, xp)
+        _check_counts(t.cnt)
+        _check_counts(child.cnt)
         (u, v, sig), cnt = _group_sum(
-            (t.u[rep], child.v[pos], sig1 | sig2), t.cnt[rep] * child.cnt[pos], xp
+            (t.u[rep], child.v[pos], sig1 | sig2), t.cnt[rep] * child.cnt[pos]
         )
         return VecPathTable(u, v, sig, cnt)
 
@@ -394,24 +380,24 @@ class VectorizedSolver:
         """NodeJoin: fold a unary child annotating the path's start or end."""
         if len(t) == 0 or len(child) == 0:
             return self._empty_path()
-        xp, bit = self.xp, self.bit
+        bit = self.bit
         x = t.u if on_start else t.v
-        lo = xp.searchsorted(child.u, x, side="left")
-        hi = xp.searchsorted(child.u, x, side="right")
-        rep, pos = _expand(lo, hi - lo, xp)
+        lo = np.searchsorted(child.u, x, side="left")
+        hi = np.searchsorted(child.u, x, side="right")
+        rep, pos = _expand(lo, hi - lo)
         sig1, sig2 = t.sig[rep], child.sig[pos]
         keep = (sig1 & sig2) == bit[x[rep]]
         rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
-        _check_counts(t.cnt, xp)
-        _check_counts(child.cnt, xp)
+        _check_counts(t.cnt)
+        _check_counts(child.cnt)
         (u, v, sig), cnt = _group_sum(
-            (t.u[rep], t.v[rep], sig1 | sig2), t.cnt[rep] * child.cnt[pos], xp
+            (t.u[rep], t.v[rep], sig1 | sig2), t.cnt[rep] * child.cnt[pos]
         )
         return VecPathTable(u, v, sig, cnt)
 
     def _merge_paths(
         self, tplus: VecPathTable, tminus: VecPathTable
-    ) -> Tuple[Array, Array, Array, Array]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cycle merge: join the two path tables on their shared endpoints.
 
         Both tables run start→end, so the join key is the ``(u, v)``
@@ -420,21 +406,21 @@ class VectorizedSolver:
         ``(u, v, sig1|sig2, cnt1*cnt2)`` — the caller aggregates
         according to the block's boundary arity.
         """
-        xp, bit, n = self.xp, self.bit, self.g.n
+        bit, n = self.bit, self.g.n
         if len(tplus) == 0 or len(tminus) == 0:
-            empty = xp.empty(0, dtype=xp.int64)
+            empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, empty
         key_minus = tminus.u * n + tminus.v
         key_plus = tplus.u * n + tplus.v
-        lo = xp.searchsorted(key_minus, key_plus, side="left")
-        hi = xp.searchsorted(key_minus, key_plus, side="right")
-        rep, pos = _expand(lo, hi - lo, xp)
+        lo = np.searchsorted(key_minus, key_plus, side="left")
+        hi = np.searchsorted(key_minus, key_plus, side="right")
+        rep, pos = _expand(lo, hi - lo)
         sig1, sig2 = tplus.sig[rep], tminus.sig[pos]
         u, v = tplus.u[rep], tplus.v[rep]
         keep = (sig1 & sig2) == (bit[u] | bit[v])
         rep, pos, u, v = rep[keep], pos[keep], u[keep], v[keep]
-        _check_counts(tplus.cnt, xp)
-        _check_counts(tminus.cnt, xp)
+        _check_counts(tplus.cnt)
+        _check_counts(tminus.cnt)
         return u, v, sig1[keep] | sig2[keep], tplus.cnt[rep] * tminus.cnt[pos]
 
     # ------------------------------------------------------------------
@@ -480,7 +466,7 @@ class VectorizedSolver:
         node_tables: Dict[Node, VecUnaryTable],
         edge_tables: Dict[int, VecBinaryTable],
     ) -> VecPathTable:
-        """Array analogue of ``build_path_table`` (PS: no pruning/extras)."""
+        """np.ndarray analogue of ``build_path_table`` (PS: no pruning/extras)."""
         vertex_ok = self.vertex_ok
         child0 = edge_tables.get(0)
         if child0 is None:
@@ -512,8 +498,8 @@ class VectorizedSolver:
         if 0 in edge_children:
             edge_tables[0] = self._oriented(edge_children[0], a, b)
         pt = self._build_path((a, b), node_tables, edge_tables)
-        (u, sig), cnt = _group_sum((pt.u, pt.sig), pt.cnt, self.xp)
-        return VecUnaryTable(a, u, sig, cnt, self.xp)
+        (u, sig), cnt = _group_sum((pt.u, pt.sig), pt.cnt)
+        return VecUnaryTable(a, u, sig, cnt)
 
     def _solve_cycle(self, block: Block) -> object:
         nodes = block.nodes
@@ -563,41 +549,34 @@ class VectorizedSolver:
         u, v, sig, cnt = self._merge_paths(tplus, tminus)
 
         if nb == 0:
-            xp = self.xp
-            assert len(cnt) == 0 or xp.all(
-                xp.popcount(sig) == self.k
+            assert len(cnt) == 0 or np.all(
+                _popcount(sig) == self.k
             ), "root signature size != k"
-            return _checked_total(cnt, xp)
+            return _checked_total(cnt)
         s_label, e_label = nodes[s_idx], nodes[e_idx]
         if nb == 1:
             img = u if boundary[0] == s_label else v
-            (bu, bsig), bcnt = _group_sum((img, sig), cnt, self.xp)
-            return VecUnaryTable(boundary[0], bu, bsig, bcnt, self.xp)
+            (bu, bsig), bcnt = _group_sum((img, sig), cnt)
+            return VecUnaryTable(boundary[0], bu, bsig, bcnt)
         images = tuple(u if lab == s_label else v for lab in boundary)
-        (bu, bv, bsig), bcnt = _group_sum((images[0], images[1], sig), cnt, self.xp)
-        return VecBinaryTable(
-            (boundary[0], boundary[1]), bu, bv, bsig, bcnt, self.xp
-        )
+        (bu, bv, bsig), bcnt = _group_sum((images[0], images[1], sig), cnt)
+        return VecBinaryTable((boundary[0], boundary[1]), bu, bv, bsig, bcnt)
 
 
 def solve_plan_vectorized(
     plan: Plan,
     g: Graph,
-    colors: Array,
+    colors: np.ndarray,
     num_colors: Optional[int] = None,
-    xp: NamespaceLike = None,
 ) -> int:
     """Number of colorful matches of ``plan.query`` in ``g`` under ``colors``.
 
     Semantics match :func:`repro.counting.solver.solve_plan` with
-    ``method="ps"`` exactly (bit-identical counts, on every namespace);
-    only the execution strategy differs.  ``xp`` is an
-    :class:`~repro.counting.xp.ArrayNamespace` handle or spec string
-    (None: the process default).  No per-rank load attribution is
-    available — use the dict kernels for simulated-rank experiments.
+    ``method="ps"`` exactly (bit-identical counts); only the execution
+    strategy differs.  No per-rank load attribution is available — use
+    the dict kernels for simulated-rank experiments.
     """
-    xpn = as_namespace(xp)
-    colors = xpn.asarray(colors, dtype=xpn.int64)
+    colors = np.asarray(colors, dtype=np.int64)
     k = plan.query.k
     kc = num_colors if num_colors is not None else k
     if kc < k:
@@ -606,14 +585,14 @@ def solve_plan_vectorized(
         raise ValueError(f"ps-vec packs signatures in int64; num_colors <= {MAX_COLORS_VEC}")
     if len(colors) != g.n:
         raise ValueError("coloring must assign a color to every data vertex")
-    if k > 0 and len(colors) and (int(xpn.min(colors)) < 0 or int(xpn.max(colors)) >= kc):
+    if k > 0 and len(colors) and (int(np.min(colors)) < 0 or int(np.max(colors)) >= kc):
         raise ValueError(f"colors must lie in [0, {kc})")
     vertex_ok = label_masks(g, plan.query)
 
     root = plan.root
     if root.kind == SINGLETON:
         if root.node_ann:
-            solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok, xp=xpn)
+            solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok)
             (child,) = root.node_ann.values()
             return solver.solve(child).total()
         if vertex_ok:
@@ -621,7 +600,7 @@ def solve_plan_vectorized(
             return int(mask.sum())
         return g.n
 
-    solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok, xp=xpn)
+    solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok)
     result = solver.solve(root)
     assert isinstance(result, int), "root cycle must produce a scalar"
     return result
@@ -630,12 +609,11 @@ def solve_plan_vectorized(
 def solve_block_shard(
     block: Block,
     g: Graph,
-    colors: Array,
+    colors: np.ndarray,
     k: int,
     children: Sequence[Tuple[Block, object]] = (),
-    start_mask: Optional[Array] = None,
-    vertex_ok: Optional[Dict[Node, Array]] = None,
-    xp: NamespaceLike = None,
+    start_mask: Optional[np.ndarray] = None,
+    vertex_ok: Optional[Dict[Node, np.ndarray]] = None,
 ) -> object:
     """Solve one block's table restricted to ``start_mask`` start vertices.
 
@@ -649,12 +627,8 @@ def solve_block_shard(
     path row lives in exactly one shard).  ``vertex_ok`` carries the
     label-compatibility masks of a labeled query (orthogonal to the
     shard mask: labels filter per query node, shards per start vertex).
-    ``xp`` selects the array namespace; the executor's workers use the
-    process default (:func:`~repro.counting.xp.default_namespace`).
     """
-    solver = VectorizedSolver(
-        g, colors, k, start_mask=start_mask, vertex_ok=vertex_ok, xp=xp
-    )
+    solver = VectorizedSolver(g, colors, k, start_mask=start_mask, vertex_ok=vertex_ok)
     for child, table in children:
         solver.inject(child, table)
     return solver.solve(block)
@@ -666,8 +640,7 @@ def count_colorful_ps_vec(
     colors: Sequence[int],
     plan: Optional[Plan] = None,
     num_colors: Optional[int] = None,
-    xp: NamespaceLike = None,
 ) -> int:
     """Colorful matches of ``query`` in ``g`` via the vectorized PS kernels."""
     plan = plan if plan is not None else heuristic_plan(query)
-    return solve_plan_vectorized(plan, g, colors, num_colors=num_colors, xp=xp)
+    return solve_plan_vectorized(plan, g, colors, num_colors=num_colors)

@@ -48,7 +48,6 @@ import numpy as np
 from .. import obs
 from ..obs import catalogue as obs_catalogue
 from ..counting.labels import label_masks_from_arrays
-from ..counting.xp import default_namespace
 from ..counting.vectorized import (
     MAX_COLORS_VEC,
     VecBinaryTable,
@@ -245,15 +244,12 @@ def _worker_main(
                     plans[msg[1]] = msg[2].blocks()
                 elif op == "trial":
                     blocks = plans[msg[1]]
-                    # the process default namespace: under strict the
-                    # shard sweeps stay inside the audited seam too
                     solver = VectorizedSolver(
                         g,
                         colors,
                         msg[2],
                         start_mask=start_mask,
                         vertex_ok=label_masks_from_arrays(labels, msg[3]),
-                        xp=default_namespace(),
                     )
                     # re-establish the master's trace across the process
                     # boundary: install a local collector so the solver's

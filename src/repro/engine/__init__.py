@@ -20,10 +20,9 @@ Pieces:
   objects replacing long positional signatures;
 * :class:`RunResult` — estimate + provenance (backend, plan, timings,
   optional :class:`LoadStats`);
-* :class:`BackendRegistry` / :func:`register_backend` — the pluggable
-  kernel seam (``ps``, ``db``, ``ps-even``, ``ps-vec``, ``ps-dist``,
-  ``treelet``, ``bruteforce`` built in; ``method="auto"`` picks per
-  query and input size).
+* :class:`BackendRegistry` — the kernels behind one protocol (``ps``,
+  ``db``, ``ps-even``, ``ps-vec``, ``ps-dist``, ``treelet``,
+  ``bruteforce``; ``method="auto"`` picks per query and input size).
 """
 
 from .backends import (
@@ -36,7 +35,6 @@ from .backends import (
     VEC_AUTO_MIN_SIZE,
     available_backends,
     get_backend,
-    register_backend,
 )
 from .config import CountRequest, EngineConfig, PrecisionSpec
 from .engine import CountingEngine, EngineStats
@@ -56,7 +54,6 @@ __all__ = [
     "request_fingerprint",
     "CountingBackend",
     "BackendRegistry",
-    "register_backend",
     "get_backend",
     "available_backends",
     "DEFAULT_REGISTRY",

@@ -10,21 +10,16 @@ a decomposition plan? can it attribute work to simulated ranks? does
 ``workers`` mean shard processes? which queries/palettes does it
 support?).
 
-Backends live in a :class:`BackendRegistry`.  Registering a new kernel
-is a decorator::
-
-    @register_backend("mykernel")
-    def my_kernel(g, query, colors, *, plan, ctx, num_colors):
-        return ...  # colorful-match count under ``colors``
-
-``method="auto"`` asks the registry to pick per query: the treelet DP
-for acyclic queries under the paper's ``num_colors == k`` palette, DB
-everywhere else.
+Backends live in a :class:`BackendRegistry`; a new kernel subclasses
+:class:`CountingBackend` and is added with
+:meth:`BackendRegistry.register`.  ``method="auto"`` asks the registry
+to pick per query: the treelet DP for acyclic queries under the
+paper's ``num_colors == k`` palette, DB everywhere else.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,12 +34,10 @@ from ..counting.bruteforce import count_colorful_matches
 from ..counting.solver import METHODS, VEC_METHOD, solve_plan
 from ..counting.treelet import count_colorful_treelet
 from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized
-from ..counting.xp import NamespaceLike
 
 __all__ = [
     "CountingBackend",
     "BackendRegistry",
-    "register_backend",
     "get_backend",
     "available_backends",
     "DEFAULT_REGISTRY",
@@ -75,10 +68,10 @@ DIST_METHOD = "ps-dist"
 class CountingBackend:
     """One counting kernel behind the engine's uniform interface.
 
-    Subclasses (or function backends built by :func:`register_backend`)
-    implement :meth:`count_colorful` and advertise capabilities through
-    ``needs_plan`` (consumes a decomposition plan) and ``tracks_load``
-    (threads an :class:`ExecutionContext` for simulated-rank accounting).
+    Subclasses implement :meth:`count_colorful` and advertise capabilities
+    through ``needs_plan`` (consumes a decomposition plan) and
+    ``tracks_load`` (threads an :class:`ExecutionContext` for
+    simulated-rank accounting).
     """
 
     #: registry key; also reported in RunResult provenance
@@ -90,9 +83,6 @@ class CountingBackend:
     #: whether ``workers`` means shard processes (engine passes a pooled
     #: executor and runs trials sequentially) rather than trial fan-out
     distributed: bool = False
-    #: whether :meth:`count_colorful` accepts a ``namespace`` kwarg (the
-    #: array-namespace knob threaded from EngineConfig/CountRequest)
-    uses_namespace: bool = False
 
     def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
         """Whether this backend can count ``query`` under the palette."""
@@ -166,7 +156,6 @@ class VectorizedBackend(CountingBackend):
     name = VEC_METHOD
     needs_plan = True
     tracks_load = False
-    uses_namespace = True
 
     def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
         """Any query, as long as the palette fits one signature word."""
@@ -181,18 +170,11 @@ class VectorizedBackend(CountingBackend):
         plan: Optional[Plan] = None,
         ctx: Optional[ExecutionContext] = None,
         num_colors: Optional[int] = None,
-        namespace: NamespaceLike = None,
     ) -> int:
-        """Solve the plan with the vectorized PS kernels (ctx is ignored).
-
-        ``namespace`` picks the array handle (None: the process default,
-        normally NumPy); counts are bit-identical across namespaces.
-        """
+        """Solve the plan with the vectorized PS kernels (ctx is ignored)."""
         self.check(query, num_colors)
         plan = plan if plan is not None else heuristic_plan(query)
-        return solve_plan_vectorized(
-            plan, g, np.asarray(colors), num_colors=num_colors, xp=namespace,
-        )
+        return solve_plan_vectorized(plan, g, np.asarray(colors), num_colors=num_colors)
 
 
 class DistributedBackend(CountingBackend):
@@ -292,49 +274,11 @@ class BruteforceBackend(CountingBackend):
         return count_colorful_matches(g, query, colors)
 
 
-class _FunctionBackend(CountingBackend):
-    """Adapter turning a plain counting function into a backend."""
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[..., int],
-        needs_plan: bool = False,
-        tracks_load: bool = False,
-        supports: Optional[Callable[[QueryGraph, Optional[int]], bool]] = None,
-    ) -> None:
-        self.name = name
-        self._fn = fn
-        self.needs_plan = needs_plan
-        self.tracks_load = tracks_load
-        self._supports = supports
-        self.__doc__ = fn.__doc__ or type(self).__doc__
-
-    def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
-        """Delegate to the ``supports`` predicate given at registration."""
-        if self._supports is None:
-            return True
-        return self._supports(query, num_colors)
-
-    def count_colorful(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colors: Sequence[int],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-    ) -> int:
-        """Call the wrapped counting function."""
-        return self._fn(g, query, colors, plan=plan, ctx=ctx, num_colors=num_colors)
-
-
 class BackendRegistry:
     """Named collection of :class:`CountingBackend` objects.
 
-    The engine resolves ``method`` strings here; ``"auto"`` picks per
-    query.  Registries are cheap to construct, so tests can build
-    private ones, but most code shares :data:`DEFAULT_REGISTRY`.
+    The engine resolves ``method`` strings in :data:`DEFAULT_REGISTRY`;
+    ``"auto"`` picks per query.
     """
 
     def __init__(self) -> None:
@@ -351,28 +295,6 @@ class BackendRegistry:
             raise ValueError(f"backend {backend.name!r} already registered")
         self._backends[backend.name] = backend
         return backend
-
-    def backend(
-        self,
-        name: str,
-        needs_plan: bool = False,
-        tracks_load: bool = False,
-        supports: Optional[Callable[[QueryGraph, Optional[int]], bool]] = None,
-        replace: bool = False,
-    ) -> Callable[[Callable[..., int]], CountingBackend]:
-        """Decorator: register ``fn(g, query, colors, *, plan, ctx,
-        num_colors) -> int`` as a backend named ``name``."""
-
-        def wrap(fn: Callable[..., int]) -> CountingBackend:
-            return self.register(
-                _FunctionBackend(
-                    name, fn, needs_plan=needs_plan,
-                    tracks_load=tracks_load, supports=supports,
-                ),
-                replace=replace,
-            )
-
-        return wrap
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> CountingBackend:
@@ -460,22 +382,8 @@ def _make_default_registry() -> BackendRegistry:
     return reg
 
 
-#: process-global registry shared by every engine that does not bring its own
+#: process-global registry shared by every engine
 DEFAULT_REGISTRY = _make_default_registry()
-
-
-def register_backend(
-    name: str,
-    needs_plan: bool = False,
-    tracks_load: bool = False,
-    supports: Optional[Callable[[QueryGraph, Optional[int]], bool]] = None,
-    replace: bool = False,
-) -> Callable[[Callable[..., int]], CountingBackend]:
-    """Decorator registering a counting function in the default registry."""
-    return DEFAULT_REGISTRY.backend(
-        name, needs_plan=needs_plan, tracks_load=tracks_load,
-        supports=supports, replace=replace,
-    )
 
 
 def get_backend(name: str) -> CountingBackend:

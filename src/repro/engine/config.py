@@ -159,13 +159,6 @@ class EngineConfig:
     nranks: int = 1
     partition_strategy: str = "block"
     coloring_strategy: str = "uniform"
-    #: array-namespace spec for the vectorized backends ("numpy" or
-    #: "strict"); ``None`` means the process default (the
-    #: ``REPRO_ARRAY_NAMESPACE`` env var, or NumPy).  Counts are
-    #: bit-identical across namespaces — this knob moves execution, not
-    #: semantics — but it still enters the request fingerprint so cached
-    #: results carry their provenance.
-    namespace: Optional[str] = None
     #: relative cost of shipping one table entry vs one local operation,
     #: used by RunResult.makespan/speedup on simulated (nranks>1) runs
     kappa: float = 0.5
@@ -196,7 +189,6 @@ _INHERITED = (
     "workers",
     "nranks",
     "coloring_strategy",
-    "namespace",
     "precision",
 )
 
@@ -220,8 +212,6 @@ class CountRequest:
     workers: Optional[int] = None
     nranks: Optional[int] = None
     coloring_strategy: Optional[str] = None
-    #: array-namespace spec for the vectorized backends (see EngineConfig)
-    namespace: Optional[str] = None
     plan: Optional[Plan] = None
     ctx: Optional[ExecutionContext] = None
     #: optional vertex-label constraint applied to ``query`` at execution

@@ -7,9 +7,9 @@ legacy free functions recomputed on every call:
   distinct query structure, however many trials/requests reuse it;
 * a **partition cache** — simulated-rank partitions are built once per
   ``(nranks, strategy)`` pair;
-* a **backend registry** — every kernel (PS, DB, ps-even, treelet DP,
-  brute force) behind one protocol, so ``method="auto"`` can pick per
-  query and new kernels plug in via a decorator.
+* dispatch through the shared **backend registry** — every kernel (PS,
+  DB, ps-even, treelet DP, brute force) behind one protocol, so
+  ``method="auto"`` can pick per query.
 
 Single queries run through :meth:`CountingEngine.count`, batches through
 :meth:`CountingEngine.count_many`; both accept :class:`CountRequest`
@@ -47,7 +47,6 @@ from ..obs import catalogue as obs_catalogue
 from ..counting.colorings import coloring_stream
 from ..counting.bruteforce import count_matches
 from ..counting.estimator import StreamingEstimate, normalization_factor
-from ..counting.xp import as_namespace
 from ..decomposition.planner import heuristic_plan
 from ..decomposition.tree import Plan
 from ..distributed.partition import Partition, make_partition
@@ -55,7 +54,7 @@ from ..distributed.runtime import ExecutionContext
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
 from ..theory.bounds import estimator_relative_variance_bound
-from .backends import BackendRegistry, DEFAULT_REGISTRY, SolverBackend
+from .backends import DEFAULT_REGISTRY, SolverBackend
 from .config import CountRequest, EngineConfig, PrecisionSpec
 from .result import RunResult
 
@@ -135,12 +134,10 @@ def _init_worker(
     query: QueryGraph,
     plan: Optional[Plan],
     num_colors: Optional[int],
-    extra: Dict[str, object],
     trace_id: Optional[str] = None,
 ) -> None:  # pragma: no cover
     _WORKER_STATE.update(
-        backend=backend, graph=graph, query=query, plan=plan,
-        num_colors=num_colors, extra=extra,
+        backend=backend, graph=graph, query=query, plan=plan, num_colors=num_colors,
     )
     # re-establish the parent's trace ID across the fork boundary so any
     # spans recorded in this worker join the same trace
@@ -151,8 +148,7 @@ def _init_worker(
 def _run_trial(colors: Sequence[int]) -> int:  # pragma: no cover - runs in subprocess
     s = _WORKER_STATE
     return s["backend"].count_colorful(
-        s["graph"], s["query"], colors, plan=s["plan"],
-        num_colors=s["num_colors"], **s["extra"],
+        s["graph"], s["query"], colors, plan=s["plan"], num_colors=s["num_colors"],
     )
 
 
@@ -193,13 +189,11 @@ class CountingEngine:
         self,
         graph: Graph,
         config: Optional[EngineConfig] = None,
-        registry: Optional[BackendRegistry] = None,
         **overrides: object,
     ) -> None:
         self.graph = graph
         base = config if config is not None else EngineConfig()
         self.config = base.replace(**overrides) if overrides else base
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.stats = EngineStats()
         self._plan_cache: Dict[QueryGraph, Plan] = {}
         self._partition_cache: Dict[Tuple[int, str], Partition] = {}
@@ -374,7 +368,7 @@ class CountingEngine:
     ) -> int:
         """Colorful matches under one fixed coloring (no estimation)."""
         method = method if method is not None else self.config.method
-        backend = self.registry.resolve(
+        backend = DEFAULT_REGISTRY.resolve(
             method, query, num_colors,
             need_load_tracking=ctx is not None, graph=self.graph,
             workers=self.config.workers,
@@ -386,7 +380,6 @@ class CountingEngine:
         return backend.count_colorful(
             self.graph, query, colors, plan=plan, ctx=ctx, num_colors=num_colors,
             **self._distributed_extra(backend, self.config.workers),
-            **self._namespace_extra(backend, self.config.namespace),
         )
 
     def _distributed_extra(self, backend: SolverBackend, workers: int) -> Dict[str, object]:
@@ -399,17 +392,6 @@ class CountingEngine:
             partition=self.config.partition_strategy,
             executor=self.executor_for(workers),
         )
-
-    def _namespace_extra(
-        self, backend: SolverBackend, namespace: Optional[str]
-    ) -> Dict[str, object]:
-        """Extra kwargs for a namespace-aware backend: the array-namespace
-        spec it resolves at execution time (empty outside the seam).  The
-        spec string crosses process boundaries, not a live handle — fork
-        workers resolve their own."""
-        if not backend.uses_namespace:
-            return {}
-        return {"namespace": namespace}
 
     def count(
         self,
@@ -522,7 +504,7 @@ class CountingEngine:
         ctx = r.ctx
         if ctx is None and r.nranks > 1:
             ctx = self.make_context(r.nranks)
-        backend = self.registry.resolve(
+        backend = DEFAULT_REGISTRY.resolve(
             r.method, q, r.num_colors,
             need_load_tracking=ctx is not None, graph=self.graph,
             workers=r.workers,
@@ -530,9 +512,6 @@ class CountingEngine:
         # for a distributed backend ``workers`` is the shard count: trials
         # run sequentially, each sharded across the pooled worker processes
         distributed = backend.distributed
-        # resolve the namespace up front: provenance records what actually
-        # ran, and an unavailable explicit namespace fails before any work
-        namespace = as_namespace(r.namespace).name if backend.uses_namespace else None
 
         plan, plan_cached = r.plan, r.plan is not None
         if plan is not None:
@@ -561,8 +540,7 @@ class CountingEngine:
         )
         if not parallel and not distributed:
             workers = 1
-        ns_extra = self._namespace_extra(backend, r.namespace)
-        extra = {**self._distributed_extra(backend, workers), **ns_extra}
+        extra = self._distributed_extra(backend, workers)
         # the streaming accumulator doubles as the CI provenance for
         # fixed runs and as the stopping rule for adaptive ones; the
         # Chebyshev fallback bound kicks in on degenerate variance
@@ -596,9 +574,7 @@ class CountingEngine:
             fork.Pool(
                 processes=workers,
                 initializer=_init_worker,
-                initargs=(
-                    backend, self.graph, q, plan, r.num_colors, ns_extra, trace_id,
-                ),
+                initargs=(backend, self.graph, q, plan, r.num_colors, trace_id),
             )
             if parallel else contextlib.nullcontext()
         )
@@ -643,7 +619,6 @@ class CountingEngine:
             seed=r.seed,
             num_colors=kc,
             workers=workers,
-            namespace=namespace,
             plan=plan,
             plan_cached=plan_cached,
             # per-trial seconds are only measurable in-process

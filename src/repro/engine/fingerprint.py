@@ -62,7 +62,6 @@ _FINGERPRINT_FIELDS = (
     "workers",
     "nranks",
     "coloring_strategy",
-    "namespace",
 )
 
 

@@ -54,9 +54,6 @@ class RunResult(EstimateResult):
     seed: int = 0
     num_colors: int = 0
     workers: int = 1
-    #: resolved array namespace the backend executed under ("numpy",
-    #: "strict", ...); ``None`` for backends that do not use the seam
-    namespace: Optional[str] = None
     plan: Optional[Plan] = None
     plan_cached: bool = False
     trial_times: Optional[List[float]] = None
@@ -131,7 +128,6 @@ class RunResult(EstimateResult):
             "seed": self.seed,
             "num_colors": self.num_colors,
             "workers": self.workers,
-            "namespace": self.namespace,
             "plan": dict(digest) if digest is not None else None,
             "plan_cached": bool(self.plan_cached),
             "trial_times": (
@@ -162,7 +158,8 @@ class RunResult(EstimateResult):
         v2 documents and v1 documents (no ``wire_version`` key, no
         CI/adaptive fields — rolling-upgrade safety): the missing fields
         default to the fixed-run reading (``trials_used = trials``, no
-        early stop, no recorded interval).
+        early stop, no recorded interval).  The ``namespace`` key of
+        documents written by older builds is ignored.
         """
         version = int(doc.get("wire_version", 1))  # type: ignore[arg-type]
         if version > WIRE_VERSION:
@@ -181,10 +178,6 @@ class RunResult(EstimateResult):
             seed=int(doc.get("seed", 0)),
             num_colors=int(doc.get("num_colors", 0)),
             workers=int(doc.get("workers", 1)),
-            namespace=(
-                str(doc["namespace"])
-                if doc.get("namespace") is not None else None
-            ),
             plan=None,
             plan_cached=bool(doc.get("plan_cached", False)),
             trial_times=(

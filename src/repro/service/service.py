@@ -25,7 +25,7 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
-from ..counting.xp import resolve_namespace
+from ..counting.colorings import COLORING_STRATEGIES
 from ..engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from ..engine.backends import DEFAULT_REGISTRY
 from ..engine.fingerprint import request_fingerprint
@@ -49,7 +49,7 @@ __all__ = [
 #: fixed by the service's EngineConfig)
 REQUEST_FIELDS = (
     "method", "trials", "seed", "num_colors", "workers", "coloring_strategy",
-    "namespace", "labels", "precision",
+    "labels", "precision",
 )
 
 #: upper bounds on the untrusted per-request knobs — one HTTP client
@@ -168,9 +168,10 @@ class CountingService:
 
         Coerces JSON value types (``"2"``/``2.0`` → ``2``, so equivalent
         spellings share a fingerprint) and rejects unknown fields,
-        unknown methods, ``trials < 1``, ``num_colors < k``, malformed
-        ``precision`` documents and malformed label specs eagerly, so a
-        queued job can only fail for genuinely exceptional reasons.
+        unknown methods and coloring strategies, ``seed < 0``,
+        ``trials < 1``, ``num_colors < k``, malformed ``precision``
+        documents and malformed label specs eagerly, so a queued job can
+        only fail for genuinely exceptional reasons.
 
         ``precision`` accepts everything
         :meth:`~repro.engine.config.PrecisionSpec.coerce` does on the
@@ -199,9 +200,7 @@ class CountingService:
             value = params.get(field)
             if value is None:
                 continue
-            coerce = (
-                str if field in ("method", "coloring_strategy", "namespace") else int
-            )
+            coerce = str if field in ("method", "coloring_strategy") else int
             try:
                 coerced = coerce(value)
             except (TypeError, ValueError):
@@ -220,13 +219,13 @@ class CountingService:
                 f"unknown method {request.method!r}; use one of "
                 f"{DEFAULT_REGISTRY.names()} or 'auto'"
             )
-        if request.namespace is not None:
-            # resolve eagerly: an unknown namespace is a 400 here, not a
-            # dead queued job
-            try:
-                resolve_namespace(str(request.namespace))
-            except ValueError as exc:
-                raise BadRequestError(str(exc)) from None
+        if request.coloring_strategy not in COLORING_STRATEGIES:
+            raise BadRequestError(
+                f"unknown coloring_strategy {request.coloring_strategy!r}; "
+                f"use one of {sorted(COLORING_STRATEGIES)}"
+            )
+        if int(request.seed) < 0:
+            raise BadRequestError("seed must be a non-negative integer")
         if not 1 <= int(request.trials) <= MAX_TRIALS:
             raise BadRequestError(f"trials must be in [1, {MAX_TRIALS}]")
         if request.effective_precision().max_trials > MAX_TRIALS:

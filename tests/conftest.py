@@ -65,6 +65,3 @@ def petersen_graph():
 def small_random_graph(rng):
     return erdos_renyi(12, 0.3, rng, name="er12")
 
-
-def random_coloring_for(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, k, size=g.n, dtype=np.int64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.distributed import LoadStats, run_distributed
 from repro.graph import erdos_renyi
 from repro.query import cycle_query
@@ -51,7 +51,7 @@ class TestCoarsenMatchesDirectRuns:
         operations (messages are kept conservatively)."""
         g = erdos_renyi(80, 0.12, rng, name="er80")  # n = 80, divisible by 8
         q = cycle_query(4)
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         fine = run_distributed(g, q, colors, 8, method="db")
         direct = run_distributed(g, q, colors, 2, method="db")
         coarse = fine.stats.coarsen(4)

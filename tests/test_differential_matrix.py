@@ -105,7 +105,7 @@ def hashable_seed(*parts: str) -> int:
 @pytest.mark.parametrize("query", QUERIES, ids=[q.name for q in QUERIES])
 @pytest.mark.parametrize("mode", LABEL_MODES)
 def test_all_backends_bit_identical(graph_and_executor, query, mode):
-    """bruteforce == ps == db == ps-even == ps-vec(@strict) == ps-dist."""
+    """bruteforce == ps == db == ps-even == ps-vec == ps-dist."""
     g, executor = graph_and_executor
     if mode == "labeled":
         query = _labeled_variant(query, g.name)
@@ -118,9 +118,6 @@ def test_all_backends_bit_identical(graph_and_executor, query, mode):
             for method in METHODS  # ps, db, ps-even
         }
         got["ps-vec"] = solve_plan_vectorized(plan, g, colors)
-        # same sweep through the audited-primitive stub: the matrix now
-        # also proves the array-namespace seam changes nothing
-        got["ps-vec@strict"] = solve_plan_vectorized(plan, g, colors, xp="strict")
         got["ps-dist"] = executor.count(plan, colors).count
         mismatches = {m: c for m, c in got.items() if c != oracle}
         assert not mismatches, (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.counting import count_colorful_matches
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.distributed import (
     ExecutionContext,
     LoadStats,
@@ -80,7 +80,7 @@ class TestExecutionContext:
 class TestDistributedRuns:
     def test_count_independent_of_ranks(self, rng, skewed_graph):
         q = paper_query("glet1")
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         expected = count_colorful_matches(skewed_graph, q, colors)
         for nranks in (1, 2, 4, 8):
             run = run_distributed(skewed_graph, q, colors, nranks)
@@ -88,7 +88,7 @@ class TestDistributedRuns:
 
     def test_count_independent_of_strategy(self, rng, skewed_graph):
         q = cycle_query(4)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         counts = {
             run_distributed(skewed_graph, q, colors, 4, strategy=s).count
             for s in ("block", "cyclic", "hash")
@@ -97,7 +97,7 @@ class TestDistributedRuns:
 
     def test_ps_db_comparison_consistent(self, rng, skewed_graph):
         q = cycle_query(4)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         cmp = compare_methods(skewed_graph, q, colors, nranks=4)
         assert cmp.ps.count == cmp.db.count
         assert cmp.improvement_factor > 0
@@ -105,14 +105,14 @@ class TestDistributedRuns:
     def test_db_reduces_max_load_on_skewed_graph(self, rng, skewed_graph):
         """The paper's Figure 11 claim: DB lowers the maximum rank load."""
         q = cycle_query(5)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         cmp = compare_methods(skewed_graph, q, colors, nranks=8)
         assert cmp.db.serial_time < cmp.ps.serial_time  # less total work
         assert cmp.load_reduction > 1.0                 # better max load
 
     def test_improvement_factor_helper(self, rng, skewed_graph):
         q = cycle_query(4)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         if_val = improvement_factor(skewed_graph, q, colors, nranks=4)
         assert if_val > 0
 
@@ -120,7 +120,7 @@ class TestDistributedRuns:
 class TestScalingCurves:
     def test_strong_scaling_monotone_speedup(self, rng, skewed_graph):
         q = cycle_query(4)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         curve = strong_scaling(skewed_graph, q, colors, ranks=[1, 2, 4, 8])
         speedups = curve.speedups()
         assert speedups[0] == pytest.approx(1.0)
@@ -129,6 +129,6 @@ class TestScalingCurves:
 
     def test_speedup_bounded_by_ranks(self, rng, skewed_graph):
         q = cycle_query(4)
-        colors = random_coloring(skewed_graph.n, q.k, rng)
+        colors = uniform_coloring(skewed_graph.n, q.k, rng)
         run = run_distributed(skewed_graph, q, colors, 4, kappa=0.0)
         assert run.speedup <= 4.0 + 1e-9

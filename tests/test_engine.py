@@ -17,9 +17,8 @@ from repro.engine import (
     RunResult,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.engine.backends import DEFAULT_REGISTRY, SolverBackend
+from repro.engine.backends import SolverBackend
 from repro.graph import erdos_renyi
 from repro.query import cycle_query, paper_queries, paper_query, path_query, star_query
 
@@ -57,37 +56,11 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="unknown method"):
             CountingEngine(graph).count_colorful(cycle_query(3), colors, method="qq")
 
-    def test_register_decorator(self, graph):
-        reg = BackendRegistry()
-
-        @reg.backend("doubler")
-        def doubler(g, query, colors, *, plan, ctx, num_colors):
-            """Twice the brute-force count (marker backend for the test)."""
-            return 2 * count_colorful_matches(g, query, colors)
-
-        engine = CountingEngine(graph, registry=reg)
-        q = cycle_query(3)
-        colors = np.array([i % 3 for i in range(graph.n)])
-        assert engine.count_colorful(q, colors, method="doubler") == 2 * count_colorful_matches(
-            graph, q, colors
-        )
-
     def test_duplicate_registration_rejected(self):
         reg = BackendRegistry()
         reg.register(SolverBackend("db"))
         with pytest.raises(ValueError, match="already registered"):
             reg.register(SolverBackend("db"))
-
-    def test_global_register_backend_roundtrip(self):
-        @register_backend("test-temp-backend")
-        def temp(g, query, colors, *, plan, ctx, num_colors):
-            """Marker backend."""
-            return 0
-
-        try:
-            assert get_backend("test-temp-backend") is temp
-        finally:
-            DEFAULT_REGISTRY._backends.pop("test-temp-backend")
 
     def test_auto_picks_treelet_for_trees(self, graph):
         engine = CountingEngine(graph)

@@ -10,7 +10,7 @@ from repro.counting import (
     count_matches,
     estimate_matches,
     normalization_factor,
-    random_coloring,
+    uniform_coloring,
 )
 from repro.counting.estimator import EstimateResult
 from repro.graph import Graph, erdos_renyi
@@ -104,10 +104,10 @@ class TestEstimator:
 
 class TestRandomColoring:
     def test_range(self, rng):
-        c = random_coloring(1000, 7, rng)
+        c = uniform_coloring(1000, 7, rng)
         assert c.min() >= 0 and c.max() < 7
 
     def test_roughly_uniform(self, rng):
-        c = random_coloring(7000, 7, rng)
+        c = uniform_coloring(7000, 7, rng)
         counts = np.bincount(c, minlength=7)
         assert abs(counts - 1000).max() < 200

@@ -15,7 +15,7 @@ from repro.counting import (
     estimate_matches,
     verify_counting,
 )
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.decomposition import build_decomposition, choose_plan, validate_plan
 from repro.distributed import compare_methods, run_distributed, strong_scaling
 from repro.engine import CountingEngine
@@ -52,7 +52,7 @@ class TestFullPipeline:
         write_edge_list(g, path)
         g2 = read_edge_list(path)
         q = paper_query("glet1")
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         first = CountingEngine(g).count_colorful(q, colors)
         assert first == CountingEngine(g2).count_colorful(q, colors)
 
@@ -60,7 +60,7 @@ class TestFullPipeline:
         """Induced subgraph can only lose matches."""
         g = erdos_renyi(25, 0.3, rng)
         q = paper_query("glet1")
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         full = CountingEngine(g).count_colorful(q, colors)
         sub, remap = induced_subgraph(g, range(15))
         sub_colors = colors[sorted(remap)]
@@ -72,7 +72,7 @@ class TestDatasetJourney:
         g = dataset("condmat")
         q = paper_query("youtube")
         rng = np.random.default_rng(0)
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         cmp = compare_methods(g, q, colors, nranks=8)
         assert cmp.ps.count == cmp.db.count
         curve = strong_scaling(g, q, colors, ranks=[2, 4, 8])
@@ -102,7 +102,7 @@ class TestSatelliteEndToEnd:
         plan = build_decomposition(q)
         validate_plan(plan)
         g = erdos_renyi(12, 0.5, rng)
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         expected = count_colorful_matches(g, q, colors)
         engine = CountingEngine(g)
         assert engine.count_colorful(q, colors, method="ps", plan=plan) == expected
@@ -131,7 +131,7 @@ class TestRandomQueryFuzz:
             plan = build_decomposition(q)
             validate_plan(plan)
             g = erdos_renyi(10, 0.4, rng)
-            colors = random_coloring(g.n, q.k, rng)
+            colors = uniform_coloring(g.n, q.k, rng)
             expected = count_colorful_matches(g, q, colors)
             run = run_distributed(g, q, colors, 3, plan=plan)
             assert run.count == expected

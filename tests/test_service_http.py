@@ -91,6 +91,8 @@ class TestEndpoints:
             (dict(dataset="er60", query="nope"), 404),
             (dict(dataset="er60", query="glet1", trials=0), 400),
             (dict(dataset="er60", query="glet1", method="warp"), 400),
+            (dict(dataset="er60", query="glet1", coloring_strategy="nope"), 400),
+            (dict(dataset="er60", query="glet1", seed=-1), 400),
             # retired array namespaces (device specs and "auto")
             (dict(dataset="er60", query="glet1", namespace="auto"), 400),
             (dict(dataset="er60", query="glet1", namespace="CuPy"), 400),

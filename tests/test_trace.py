@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.counting.estimator import random_coloring
+from repro.counting.colorings import uniform_coloring
 from repro.distributed import (
     LoadStats,
     format_trace,
@@ -57,7 +57,7 @@ class TestFormatTrace:
     def test_real_run_trace(self, rng):
         g = erdos_renyi(60, 0.15, rng, name="g60")
         q = cycle_query(4)
-        colors = random_coloring(g.n, q.k, rng)
+        colors = uniform_coloring(g.n, q.k, rng)
         run = run_distributed(g, q, colors, 4)
         text = format_trace(run.stats)
         assert "merge" in text  # cycle merge stage appears
