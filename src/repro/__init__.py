@@ -24,7 +24,6 @@ from . import counting, decomposition, distributed, engine, graph, motifs, query
 __version__ = "1.1.0"
 
 # Convenience re-exports for the quickstart path.
-from .counting import estimate_matches
 from .decomposition import build_decomposition, choose_plan, enumerate_plans
 from .engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from .graph import Graph
@@ -40,7 +39,6 @@ __all__ = [
     "EngineConfig",
     "PrecisionSpec",
     "RunResult",
-    "estimate_matches",
     "build_decomposition",
     "choose_plan",
     "enumerate_plans",

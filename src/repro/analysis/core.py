@@ -235,7 +235,6 @@ class AnalysisConfig:
                 deserializers=(),
                 extra_functions=(("engine/fingerprint.py", "canonical_request"),),
                 renames={"labels": "query"},
-                non_wire=("plan", "ctx"),
             ),
             WireContract(
                 cls="PrecisionSpec",

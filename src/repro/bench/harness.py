@@ -150,8 +150,8 @@ def run_query_grid(
     """One batched engine pass over ``queries`` (the Fig 8-10/15 shape).
 
     Every query's decomposition plan is built once and shared by all its
-    trials; results are bit-identical to per-query ``estimate_matches``
-    calls with the same ``trials``/``seed``.
+    trials; results are bit-identical to per-query
+    :meth:`CountingEngine.count` calls with the same ``trials``/``seed``.
     """
     engine = engine if engine is not None else engine_for(g)
     requests = [

@@ -9,14 +9,10 @@ from .colorings import (
 )
 from .verify import VerificationReport, verify_counting
 from .db import count_colorful_db
-from .estimator import (
-    EstimateResult,
-    estimate_matches,
-    normalization_factor,
-)
+from .estimator import EstimateResult, normalization_factor
 from .labels import label_masks, label_masks_from_arrays
 from .ps import count_colorful_ps
-from .solver import ALL_METHODS, METHODS, VEC_METHOD, BlockSolver, solve_plan
+from .solver import METHODS, VEC_METHOD, BlockSolver, solve_plan
 from .treelet import count_colorful_treelet
 from .vectorized import count_colorful_ps_vec, solve_plan_vectorized
 
@@ -34,9 +30,7 @@ __all__ = [
     "BlockSolver",
     "METHODS",
     "VEC_METHOD",
-    "ALL_METHODS",
     "EstimateResult",
-    "estimate_matches",
     "normalization_factor",
     "uniform_coloring",
     "balanced_coloring",

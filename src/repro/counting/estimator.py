@@ -2,10 +2,12 @@
 
 For a random coloring χ with ``k`` colors, ``(k^k / k!) · E[colorful
 matches]`` equals the true match count — the colorful count is an unbiased
-estimator after normalization.  The estimator repeats trials, averages,
-and reports the coefficient of variation the paper uses in Figure 15
-("the ratio of the empirical variance to the mean"; we additionally expose
-the conventional std/mean ratio as ``relative_std``).
+estimator after normalization.  This module holds the estimator's
+statistics; the trial loop that feeds them is
+:meth:`repro.engine.CountingEngine.count`.  Results report the
+coefficient of variation the paper uses in Figure 15 ("the ratio of the
+empirical variance to the mean"; we additionally expose the conventional
+std/mean ratio as ``relative_std``).
 """
 
 from __future__ import annotations
@@ -16,20 +18,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..decomposition.planner import heuristic_plan
-from ..decomposition.tree import Plan
-from ..distributed.runtime import ExecutionContext
-from ..graph.graph import Graph
 from ..query.automorphisms import automorphism_count
 from ..query.query import QueryGraph
 from ..theory.bounds import chebyshev_halfwidth, student_t_quantile
-from .colorings import uniform_coloring
-from .solver import solve_plan
 
 __all__ = [
     "EstimateResult",
     "StreamingEstimate",
-    "estimate_matches",
     "normalization_factor",
 ]
 
@@ -179,40 +174,3 @@ class StreamingEstimate:
         if rel_error <= 0.0:
             raise ValueError("rel_error must be positive")
         return self.relative_halfwidth(confidence) <= rel_error
-
-
-def estimate_matches(
-    g: Graph,
-    query: QueryGraph,
-    trials: int = 10,
-    seed: int = 0,
-    method: str = "db",
-    plan: Optional[Plan] = None,
-    ctx: Optional[ExecutionContext] = None,
-    num_colors: Optional[int] = None,
-) -> EstimateResult:
-    """Run ``trials`` independent colorings and estimate the match count.
-
-    ``num_colors > k`` enables the larger-palette variance-reduction
-    extension (see :func:`normalization_factor`); the estimator remains
-    unbiased with the corrected scale.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    plan = plan or heuristic_plan(query)
-    rng = np.random.default_rng(seed)
-    k = query.k
-    kc = num_colors if num_colors is not None else k
-    counts: List[int] = []
-    for _ in range(trials):
-        colors = uniform_coloring(g.n, kc, rng)
-        counts.append(
-            solve_plan(plan, g, colors, ctx=ctx, method=method, num_colors=kc)
-        )
-    return EstimateResult(
-        query_name=query.name,
-        graph_name=g.name,
-        trials=trials,
-        colorful_counts=counts,
-        scale=normalization_factor(k, kc),
-    )

@@ -28,7 +28,7 @@ from ..tables.projection import BinaryTable, UnaryTable
 from .kernels import build_path_table, merge_cycle_paths, oriented_binary
 from .labels import label_masks
 
-__all__ = ["solve_plan", "BlockSolver", "METHODS", "VEC_METHOD", "ALL_METHODS"]
+__all__ = ["solve_plan", "BlockSolver", "METHODS", "VEC_METHOD"]
 
 Node = Hashable
 
@@ -43,7 +43,6 @@ METHODS = ("ps", "db", "ps-even")
 #: CSR adjacency (:mod:`repro.counting.vectorized`); bit-identical to
 #: ``ps`` but without per-rank load attribution.
 VEC_METHOD = "ps-vec"
-ALL_METHODS = METHODS + (VEC_METHOD,)
 
 
 def _cw_labels(nodes: Tuple[Node, ...], s: int, e: int) -> List[Node]:
@@ -287,19 +286,16 @@ def solve_plan(
     with ``normalization_factor(k, num_colors)``).  A *colorful match*
     always means all ``k`` matched vertices have pairwise distinct colors.
 
-    ``ctx`` defaults to an untracked sequential context.  With
-    ``method="ps-vec"`` the whole solve is delegated to the vectorized
-    kernels (:mod:`repro.counting.vectorized`); ``ctx`` is ignored there
-    because batched table operations cannot attribute work to ranks.
+    ``ctx`` defaults to an untracked sequential context.  ``method`` is
+    one of :data:`METHODS`; the vectorized kernels have their own entry,
+    :func:`repro.counting.vectorized.solve_plan_vectorized`.
 
     Labeled queries (``plan.query.labels``) count only matches mapping
     each query node to a data vertex with the same label; ``g`` must then
     carry a label array.
     """
-    if method == VEC_METHOD:
-        from .vectorized import solve_plan_vectorized
-
-        return solve_plan_vectorized(plan, g, colors, num_colors=num_colors)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     colors = np.asarray(colors, dtype=np.int64)
     k = plan.query.k
     kc = num_colors if num_colors is not None else k

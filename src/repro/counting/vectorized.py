@@ -59,7 +59,6 @@ __all__ = [
     "VecPathTable",
     "VectorizedSolver",
     "solve_plan_vectorized",
-    "solve_block_shard",
     "count_colorful_ps_vec",
     "MAX_COLORS_VEC",
 ]
@@ -604,34 +603,6 @@ def solve_plan_vectorized(
     result = solver.solve(root)
     assert isinstance(result, int), "root cycle must produce a scalar"
     return result
-
-
-def solve_block_shard(
-    block: Block,
-    g: Graph,
-    colors: np.ndarray,
-    k: int,
-    children: Sequence[Tuple[Block, object]] = (),
-    start_mask: Optional[np.ndarray] = None,
-    vertex_ok: Optional[Dict[Node, np.ndarray]] = None,
-) -> object:
-    """Solve one block's table restricted to ``start_mask`` start vertices.
-
-    The shard-restricted sweep entry used by the distributed executor:
-    ``children`` supplies the already-combined (full) tables of every
-    descendant block, so only this block's own path sweep runs — over the
-    rows whose start image the mask owns.  Returns a ``VecUnaryTable`` /
-    ``VecBinaryTable`` shard, or a partial ``int`` for a 0-boundary root
-    cycle.  Combining the shards of all masks of a partition reproduces
-    the sequential table bit for bit (integer sums are exact and every
-    path row lives in exactly one shard).  ``vertex_ok`` carries the
-    label-compatibility masks of a labeled query (orthogonal to the
-    shard mask: labels filter per query node, shards per start vertex).
-    """
-    solver = VectorizedSolver(g, colors, k, start_mask=start_mask, vertex_ok=vertex_ok)
-    for child, table in children:
-        solver.inject(child, table)
-    return solver.solve(block)
 
 
 def count_colorful_ps_vec(

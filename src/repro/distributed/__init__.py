@@ -6,7 +6,7 @@ shared-memory CSR shards; the historical simulation (``runtime`` /
 ``metrics``) stays as its prediction and planning layer.
 """
 
-from .engine import DEFAULT_KAPPA, DistributedRun, ShardedRun, run_distributed, run_sharded
+from .engine import DEFAULT_KAPPA, DistributedRun, run_distributed
 from .executor import ShardedExecutor, ShardResult, count_colorful_ps_dist
 from .metrics import (
     MethodComparison,
@@ -35,8 +35,6 @@ from .trace import format_trace, hotspots, rank_profile, stage_report
 __all__ = [
     "ShardedExecutor",
     "ShardResult",
-    "ShardedRun",
-    "run_sharded",
     "count_colorful_ps_dist",
     "WallStageRecord",
     "WallStats",

@@ -1,14 +1,12 @@
-"""Distributed counting engine: predicted (simulated) and real sharded runs.
+"""Simulated distributed counting: one coloring over ``nranks`` ranks.
 
 :func:`run_distributed` ties together the partition, the execution
 context and the plan solver, returning both the (exact, rank-count
 independent) colorful count and the per-rank load statistics from which
-the scaling figures are derived.  With the real sharded executor in
-place it doubles as the *prediction* layer: :func:`run_sharded` executes
-the same plan across actual worker processes and returns the measured
-per-rank :class:`WallStats` side by side with the simulated
-:class:`LoadStats` prediction, so the cost model can be validated
-against (and used to plan for) real parallel runs.
+the scaling figures are derived.  The same :class:`LoadStats` is the
+*predicted* cost model for the real sharded executor
+(:mod:`repro.distributed.executor`), whose measured per-rank
+:class:`WallStats` it can be compared against on the same partition.
 """
 
 from __future__ import annotations
@@ -24,9 +22,9 @@ from ..decomposition.tree import Plan
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
 from .partition import make_partition
-from .runtime import ExecutionContext, LoadStats, WallStats
+from .runtime import ExecutionContext, LoadStats
 
-__all__ = ["DistributedRun", "run_distributed", "ShardedRun", "run_sharded"]
+__all__ = ["DistributedRun", "run_distributed"]
 
 #: relative cost of shipping one table entry vs one local table operation
 DEFAULT_KAPPA = 0.5
@@ -89,77 +87,3 @@ def run_distributed(
     ctx = ExecutionContext(make_partition(g.n, nranks, strategy), track=True)
     count = solve_plan(plan, g, np.asarray(colors), ctx=ctx, method=method)
     return DistributedRun(count=count, nranks=nranks, method=method, stats=ctx.stats, kappa=kappa)
-
-
-@dataclass
-class ShardedRun:
-    """Result of one *real* sharded run: measured stats plus the prediction.
-
-    ``measured`` is the per-rank wall/CPU accounting recorded by the
-    executor's workers; ``predicted`` (when requested) is the simulated
-    :class:`LoadStats` for the same plan, coloring and partition — the
-    cost model the measured run can be compared against.
-    """
-
-    count: int
-    nranks: int
-    measured: WallStats
-    predicted: Optional[LoadStats] = None
-    kappa: float = DEFAULT_KAPPA
-
-    @property
-    def wall_seconds(self) -> float:
-        """End-to-end measured wall time, including the boundary exchange."""
-        return self.measured.wall_seconds
-
-    @property
-    def critical_seconds(self) -> float:
-        """Measured makespan: sum over supersteps of the slowest rank."""
-        return self.measured.critical_seconds()
-
-    @property
-    def imbalance(self) -> float:
-        """Measured per-rank CPU imbalance (max/avg; 1.0 is perfect)."""
-        return self.measured.imbalance()
-
-    @property
-    def predicted_makespan(self) -> float:
-        """Modeled makespan from the simulated run (0.0 when not predicted)."""
-        return self.predicted.makespan(self.kappa) if self.predicted is not None else 0.0
-
-    @property
-    def predicted_imbalance(self) -> float:
-        return self.predicted.imbalance() if self.predicted is not None else 1.0
-
-
-def run_sharded(
-    g: Graph,
-    query: QueryGraph,
-    colors: Sequence[int],
-    workers: int,
-    plan: Optional[Plan] = None,
-    strategy: str = "block",
-    predict: bool = False,
-    kappa: float = DEFAULT_KAPPA,
-) -> ShardedRun:
-    """Count colorful matches on a real pool of ``workers`` shard processes.
-
-    The count is bit-identical to ``ps``/``ps-vec`` on the same plan and
-    coloring.  With ``predict=True`` the simulated PS accounting runs as
-    well (same partition), so the returned :class:`ShardedRun` carries
-    the predicted cost model next to the measured per-rank wall times.
-    """
-    from .executor import ShardedExecutor
-
-    plan = plan or heuristic_plan(query)
-    with ShardedExecutor(g, workers=workers, strategy=strategy) as executor:
-        count, measured = executor.count(plan, np.asarray(colors))
-    predicted: Optional[LoadStats] = None
-    if predict:
-        ctx = ExecutionContext(make_partition(g.n, workers, strategy), track=True)
-        solve_plan(plan, g, np.asarray(colors), ctx=ctx, method="ps")
-        predicted = ctx.stats
-    return ShardedRun(
-        count=count, nranks=workers, measured=measured,
-        predicted=predicted, kappa=kappa,
-    )

@@ -27,9 +27,9 @@ Measured vs predicted
 ---------------------
 Each worker reports per-stage CPU and wall seconds, collected into a
 :class:`repro.distributed.runtime.WallStats` — the *measured* side of the
-runtime.  The long-standing simulated :class:`LoadStats` accounting stays
-as the *predicted* cost model; :func:`repro.distributed.engine.run_sharded`
-returns both so plans can be validated against reality.
+runtime.  The simulated :class:`LoadStats` accounting stays as the
+*predicted* cost model: :func:`repro.distributed.engine.run_distributed`
+(``method="ps"``, same partition strategy) predicts the same coloring.
 """
 
 from __future__ import annotations

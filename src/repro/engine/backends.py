@@ -366,7 +366,7 @@ class BackendRegistry:
         if need_load_tracking and not backend.tracks_load:
             raise ValueError(
                 f"backend {backend.name!r} cannot attribute load to "
-                "simulated ranks; use 'ps', 'db' or 'ps-even' with nranks > 1"
+                "simulated ranks; use 'ps', 'db' or 'ps-even' with a ctx"
             )
         return backend
 

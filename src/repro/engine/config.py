@@ -4,7 +4,7 @@ Two frozen dataclasses replace the long positional signatures of the
 legacy free functions:
 
 * :class:`EngineConfig` — per-engine defaults, fixed when the engine is
-  constructed (method, trials, seed, palette, workers, simulated ranks);
+  constructed (method, trials, seed, palette, workers, partitioning);
 * :class:`CountRequest` — one query execution; every field except the
   query itself is optional and inherits from the engine's config when
   left as ``None``.
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
 
-from ..decomposition.tree import Plan
-from ..distributed.runtime import ExecutionContext
 from ..query.query import QueryGraph
 
 __all__ = ["EngineConfig", "CountRequest", "PrecisionSpec", "PrecisionLike"]
@@ -36,6 +34,14 @@ DEFAULT_MAX_TRIALS = 200
 #: default floor on adaptive trial counts: the t-interval needs a real
 #: variance estimate before the stopping rule is allowed to fire
 DEFAULT_MIN_TRIALS = 3
+
+
+def _whole_number(name: str, value: object) -> int:
+    """``value`` as an int; a float with a fractional part is rejected,
+    not truncated (the rule the service applies to top-level ints)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)  # type: ignore[call-overload]
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class PrecisionSpec:
                 f"max_trials ({self.max_trials}) must be >= "
                 f"min_trials ({self.min_trials})"
             )
-        if self.rel_error is not None and self.rel_error <= 0.0:
+        if self.rel_error is not None and not self.rel_error > 0.0:
             raise ValueError("rel_error must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
@@ -104,10 +110,9 @@ class PrecisionSpec:
             }
             if "confidence" in value:
                 kwargs["confidence"] = float(value["confidence"])  # type: ignore[arg-type]
-            if "min_trials" in value:
-                kwargs["min_trials"] = int(value["min_trials"])  # type: ignore[call-overload]
-            if "max_trials" in value:
-                kwargs["max_trials"] = int(value["max_trials"])  # type: ignore[call-overload]
+            for name in ("min_trials", "max_trials"):
+                if name in value:
+                    kwargs[name] = _whole_number(name, value[name])
             if rel is None and "min_trials" in value and "max_trials" not in value:
                 # fixed-mode mapping with only min_trials: run exactly that
                 kwargs["max_trials"] = kwargs["min_trials"]
@@ -143,12 +148,11 @@ class EngineConfig:
     ``method="db"`` keeps the paper's contribution as the default kernel;
     pass ``method="auto"`` to let the registry pick per query (treelet DP
     for trees, ``ps-dist`` for huge inputs when ``workers > 1``,
-    ``ps-vec`` for large ones, DB otherwise).  ``nranks > 1`` attaches a
-    simulated-rank execution context to every run and reports its
-    :class:`LoadStats` — the *predicted* cost model.  ``workers`` fans
+    ``ps-vec`` for large ones, DB otherwise).  ``workers`` fans
     independent trials over processes for ordinary backends; for the
     distributed ``ps-dist`` backend it is the shard count and
-    ``partition_strategy`` picks how vertices map to shard processes.
+    ``partition_strategy`` picks how vertices map to shard processes (and
+    to the simulated ranks of :meth:`CountingEngine.make_context`).
     """
 
     method: str = "db"
@@ -156,13 +160,8 @@ class EngineConfig:
     seed: int = 0
     num_colors: Optional[int] = None
     workers: int = 1
-    nranks: int = 1
     partition_strategy: str = "block"
     coloring_strategy: str = "uniform"
-    #: relative cost of shipping one table entry vs one local operation,
-    #: used by RunResult.makespan/speedup on simulated (nranks>1) runs
-    kappa: float = 0.5
-    plan_limit: int = 20000
     #: engine-wide trial policy; ``None`` keeps the bare ``trials`` knob
     #: as the policy (``PrecisionSpec.fixed(trials)``).  When set, every
     #: request that does not carry its own ``precision`` inherits this —
@@ -187,7 +186,6 @@ _INHERITED = (
     "seed",
     "num_colors",
     "workers",
-    "nranks",
     "coloring_strategy",
     "precision",
 )
@@ -198,10 +196,9 @@ class CountRequest:
     """One counting job: a query plus optional per-request overrides.
 
     ``None`` means "inherit from :class:`EngineConfig`" for every field
-    in ``method / trials / seed / num_colors / workers / nranks /
-    coloring_strategy``.  ``plan`` overrides the engine's plan cache and
-    ``ctx`` supplies an external :class:`ExecutionContext` (the legacy
-    ``make_context`` flow); both default to engine-managed objects.
+    in ``method / trials / seed / num_colors / workers /
+    coloring_strategy / precision``.  Every field is a plain value that
+    reaches the request fingerprint.
     """
 
     query: QueryGraph
@@ -210,10 +207,7 @@ class CountRequest:
     seed: Optional[int] = None
     num_colors: Optional[int] = None
     workers: Optional[int] = None
-    nranks: Optional[int] = None
     coloring_strategy: Optional[str] = None
-    plan: Optional[Plan] = None
-    ctx: Optional[ExecutionContext] = None
     #: optional vertex-label constraint applied to ``query`` at execution
     #: time.  Accepts the same spellings as the CLI/service surfaces — a
     #: ``{query node: int}`` mapping or a per-node list in the query's

@@ -32,7 +32,6 @@ import math
 import multiprocessing as mp
 import threading
 import time
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import (
@@ -182,7 +181,7 @@ class CountingEngine:
 
     Construction is cheap; all caches fill lazily.  ``config`` may be an
     :class:`EngineConfig` or keyword overrides (``CountingEngine(g,
-    method="auto", nranks=8)``).
+    method="auto", workers=4)``).
     """
 
     def __init__(
@@ -200,7 +199,7 @@ class CountingEngine:
         # caller-supplied plans re-rooted on a labeled query, keyed by
         # (id(original), labels); the original is kept in the value so
         # its id can never be recycled while the key is live.  Without
-        # this, every labeled request reusing one plan would mint a new
+        # this, every labeled call reusing one plan would mint a new
         # Plan object — which a pooled ShardedExecutor would pin and
         # re-broadcast to its workers on every call.
         self._reroot_cache: Dict[Tuple[int, object], Tuple[Plan, Plan]] = {}
@@ -234,7 +233,7 @@ class CountingEngine:
         # build outside the lock so a slow planner run never stalls
         # other queries' cache hits; on a lost race the winner's plan is
         # used and only the insert counts as a build (exact counters)
-        built = heuristic_plan(query, limit=self.config.plan_limit)
+        built = heuristic_plan(query)
         with self._cache_lock:
             plan = self._plan_cache.get(query)
             if plan is not None:
@@ -288,9 +287,9 @@ class CountingEngine:
             self._partition_cache[key] = part
             return part
 
-    def make_context(self, nranks: Optional[int] = None, track: bool = True) -> ExecutionContext:
-        """Fresh execution context over the cached partition."""
-        nranks = nranks if nranks is not None else self.config.nranks
+    def make_context(self, nranks: int, track: bool = True) -> ExecutionContext:
+        """Fresh ``nranks``-rank context over the cached partition, for
+        :meth:`count_colorful`'s per-rank accounting (``ctx.stats``)."""
         return ExecutionContext(self.partition_for(nranks), track=track)
 
     def executor_for(self, workers: int, strategy: Optional[str] = None) -> "ShardedExecutor":
@@ -415,11 +414,9 @@ class CountingEngine:
         nor over ``max_trials``); ``on_progress``, if given, receives a
         JSON-safe refining-CI snapshot after every trial.
 
-        ``workers > 1`` and simulated-rank accounting are mutually
-        exclusive: with ``nranks > 1`` (or an explicit ``ctx``) trials
-        run sequentially and a warning is emitted; on platforms without
-        ``fork`` the engine silently falls back to sequential execution
-        (check ``RunResult.workers`` for what actually ran).
+        On platforms without ``fork`` the engine silently runs
+        ``workers > 1`` trials sequentially (check ``RunResult.workers``
+        for what actually ran).
         """
         if isinstance(request, QueryGraph):
             request = CountRequest(query=request)
@@ -500,44 +497,26 @@ class CountingEngine:
             raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
         scale = normalization_factor(k, kc)
 
-        # external ctx (legacy make_context flow) wins over config nranks
-        ctx = r.ctx
-        if ctx is None and r.nranks > 1:
-            ctx = self.make_context(r.nranks)
         backend = DEFAULT_REGISTRY.resolve(
-            r.method, q, r.num_colors,
-            need_load_tracking=ctx is not None, graph=self.graph,
-            workers=r.workers,
+            r.method, q, r.num_colors, graph=self.graph, workers=r.workers,
         )
         # for a distributed backend ``workers`` is the shard count: trials
         # run sequentially, each sharded across the pooled worker processes
         distributed = backend.distributed
 
-        plan, plan_cached = r.plan, r.plan is not None
-        if plan is not None:
-            plan = self._effective_plan(plan, q)
-        if plan is None and backend.needs_plan:
+        plan: Optional[Plan] = None
+        plan_cached = False
+        if backend.needs_plan:
             plan, plan_cached = self._plan_for(q)
 
         workers = r.workers if distributed else min(r.workers, cap)
-        if workers > 1 and ctx is not None:
-            # per-rank accounting mutates one shared context; trials must
-            # run in-process to keep the LoadStats coherent
-            warnings.warn(
-                "workers > 1 is ignored when a simulated-rank context is "
-                "attached (nranks > 1 or ctx=...); running trials sequentially",
-                stacklevel=3,
-            )
         try:
             # worker state is inherited by forked processes; platforms
             # without fork (Windows) fall back to sequential execution
             fork = mp.get_context("fork")
         except ValueError:
             fork = None
-        parallel = (
-            not distributed
-            and workers > 1 and cap >= 2 and ctx is None and fork is not None
-        )
+        parallel = not distributed and workers > 1 and cap >= 2 and fork is not None
         if not parallel and not distributed:
             workers = 1
         extra = self._distributed_extra(backend, workers)
@@ -555,7 +534,7 @@ class CountingEngine:
                 t1 = time.perf_counter()
                 with obs.span("engine.trial", index=len(counts)):
                     count = backend.count_colorful(
-                        self.graph, q, colors, plan=plan, ctx=ctx,
+                        self.graph, q, colors, plan=plan,
                         num_colors=r.num_colors, **extra,
                     )
                 trial_times.append(time.perf_counter() - t1)
@@ -624,8 +603,6 @@ class CountingEngine:
             # per-trial seconds are only measurable in-process
             trial_times=None if parallel else trial_times,
             wall_clock=wall,
-            load=ctx.stats if ctx is not None and ctx.track else None,
-            kappa=self.config.kappa,
             trials_used=trials_used,
             stopped_early=stopped_early,
             ci_low=ci_low,

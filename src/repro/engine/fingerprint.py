@@ -60,7 +60,6 @@ _FINGERPRINT_FIELDS = (
     "seed",
     "num_colors",
     "workers",
-    "nranks",
     "coloring_strategy",
 )
 
@@ -74,10 +73,10 @@ def canonical_request(
 
     ``request`` is resolved against ``config`` (default
     :class:`EngineConfig`) first, so a request that *inherits* ``seed=0``
-    and one that *states* ``seed=0`` canonicalise identically.  Engine
-    fields that shape the result payload beyond the request itself
-    (partition strategy for distributed shards, the ``kappa`` cost model
-    constant) come from the config.
+    and one that *states* ``seed=0`` canonicalise identically.  The one
+    engine field that shapes the result payload beyond the request
+    itself (the partition strategy for distributed shards) comes from
+    the config.
 
     The trial policy canonicalises through
     :meth:`~repro.engine.config.CountRequest.effective_precision`:
@@ -97,7 +96,6 @@ def canonical_request(
         # engine executes exactly this effective query
         "query": canonical_query(resolved.effective_query()),
         "partition_strategy": cfg.partition_strategy,
-        "kappa": cfg.kappa,
     }
     for field in _FINGERPRINT_FIELDS:
         doc[field] = getattr(resolved, field)

@@ -5,8 +5,9 @@
 ``coefficient_of_variation`` keeps working unchanged) and records how
 the numbers were produced: which backend ran, under which seed/palette,
 the decomposition plan that was used (and whether it came from the
-engine's cache), per-trial wall-clock timings, and the simulated-rank
-:class:`LoadStats` when a distributed context was attached.
+engine's cache), per-trial wall-clock timings and the adaptive-precision
+evidence.  Per-rank load is a property of one coloring, not of an
+estimate (see :meth:`CountingEngine.make_context`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, List, Optional
 
 from ..counting.estimator import EstimateResult
 from ..decomposition.tree import Plan
-from ..distributed.runtime import LoadStats
 
 __all__ = ["RunResult", "plan_summary", "WIRE_VERSION"]
 
@@ -58,8 +58,6 @@ class RunResult(EstimateResult):
     plan_cached: bool = False
     trial_times: Optional[List[float]] = None
     wall_clock: float = 0.0
-    load: Optional[LoadStats] = None
-    kappa: float = 0.5
     #: plan digest carried by deserialized results (``plan`` itself does
     #: not survive the wire; see :meth:`to_dict` / :meth:`from_dict`)
     plan_digest: Optional[Dict[str, object]] = None
@@ -87,17 +85,6 @@ class RunResult(EstimateResult):
         """Average wall-clock seconds per trial."""
         return self.wall_clock / self.trials if self.trials else 0.0
 
-    @property
-    def makespan(self) -> float:
-        """Modeled parallel time under the engine's ``kappa`` (simulated
-        runs only; 0.0 when no load statistics were tracked)."""
-        return self.load.makespan(self.kappa) if self.load is not None else 0.0
-
-    @property
-    def speedup(self) -> float:
-        """Modeled speedup over one rank (simulated runs only)."""
-        return self.load.speedup(self.kappa) if self.load is not None else 1.0
-
     # ------------------------------------------------------------------
     # deterministic serialization (the service's wire format)
     # ------------------------------------------------------------------
@@ -106,8 +93,7 @@ class RunResult(EstimateResult):
 
         Deterministic for a given result: stable keys, plain
         lists/scalars only.  The decomposition plan is reduced to its
-        :func:`plan_summary` digest and :class:`LoadStats` to its own
-        ``to_dict`` form; derived statistics (``estimate``,
+        :func:`plan_summary` digest; derived statistics (``estimate``,
         ``relative_std``, ``coefficient_of_variation``) are included for
         consumers that never reconstruct the object.  Round trip:
         ``RunResult.from_dict(r.to_dict())`` preserves every stored field
@@ -135,8 +121,6 @@ class RunResult(EstimateResult):
                 if self.trial_times is not None else None
             ),
             "wall_clock": float(self.wall_clock),
-            "load": self.load.to_dict() if self.load is not None else None,
-            "kappa": float(self.kappa),
             "trials_used": int(self.trials_used),
             "stopped_early": bool(self.stopped_early),
             "ci_low": float(self.ci_low) if self.ci_low is not None else None,
@@ -153,13 +137,13 @@ class RunResult(EstimateResult):
         """Rebuild a result from :meth:`to_dict` output.
 
         The plan digest round-trips via ``plan_digest`` (the full
-        :class:`Plan` object does not cross the wire); an attached
-        :class:`LoadStats` is reconstructed exactly.  Accepts both wire
+        :class:`Plan` object does not cross the wire).  Accepts both wire
         v2 documents and v1 documents (no ``wire_version`` key, no
         CI/adaptive fields — rolling-upgrade safety): the missing fields
         default to the fixed-run reading (``trials_used = trials``, no
-        early stop, no recorded interval).  The ``namespace`` key of
-        documents written by older builds is ignored.
+        early stop, no recorded interval).  The ``namespace``, ``load``
+        and ``kappa`` keys of documents written by older builds are
+        ignored.
         """
         version = int(doc.get("wire_version", 1))  # type: ignore[arg-type]
         if version > WIRE_VERSION:
@@ -167,7 +151,6 @@ class RunResult(EstimateResult):
                 f"unsupported RunResult wire_version {version} "
                 f"(this build reads <= {WIRE_VERSION})"
             )
-        load_doc = doc.get("load")
         return cls(
             query_name=str(doc["query_name"]),
             graph_name=str(doc["graph_name"]),
@@ -185,8 +168,6 @@ class RunResult(EstimateResult):
                 if doc.get("trial_times") is not None else None
             ),
             wall_clock=float(doc.get("wall_clock", 0.0)),
-            load=LoadStats.from_dict(load_doc) if load_doc is not None else None,
-            kappa=float(doc.get("kappa", 0.5)),
             plan_digest=dict(doc["plan"]) if doc.get("plan") is not None else None,
             trials_used=int(doc.get("trials_used", doc["trials"])),
             stopped_early=bool(doc.get("stopped_early", False)),
@@ -218,6 +199,4 @@ class RunResult(EstimateResult):
             bits.insert(4, f"ci=[{self.ci_low:.6g}, {self.ci_high:.6g}]")
         if self.workers > 1:
             bits.insert(3, f"workers={self.workers}")
-        if self.load is not None:
-            bits.append(f"nranks={self.load.nranks}")
         return "  ".join(bits)

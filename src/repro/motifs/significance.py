@@ -15,8 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..counting.estimator import estimate_matches
-from ..decomposition.planner import heuristic_plan
+from ..engine import CountingEngine
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
 from .nullmodel import null_ensemble
@@ -57,28 +56,31 @@ def motif_significance(
     """Z-scores of each motif's estimated count against the null ensemble.
 
     Both the observed network and every null sample are counted with the
-    same color-coding estimator (same trial budget), so estimator noise
-    affects numerator and denominator symmetrically.
+    same color-coding estimator (one engine per graph, same trial
+    budget), so estimator noise affects numerator and denominator
+    symmetrically.
     """
     rng = np.random.default_rng(seed)
     nulls = null_ensemble(g, null_samples, rng)
+
+    def estimates(h: Graph, offset: int) -> List[float]:
+        """Each motif's estimate on ``h``; motif ``i`` draws from seed
+        ``seed + 31 i + offset``."""
+        with CountingEngine(h, method=method, trials=trials) as engine:
+            return [
+                engine.count(q, seed=seed + 31 * i + offset).estimate
+                for i, q in enumerate(motifs)
+            ]
+
+    observed = estimates(g, 0)
+    null_rows = [estimates(nh, 7 * j + 1) for j, nh in enumerate(nulls)]
     out: List[MotifSignificance] = []
     for i, q in enumerate(motifs):
-        plan = heuristic_plan(q)
-        observed = estimate_matches(
-            g, q, trials=trials, seed=seed + 31 * i, method=method, plan=plan
-        ).estimate
-        null_counts = [
-            estimate_matches(
-                nh, q, trials=trials, seed=seed + 31 * i + 7 * j + 1,
-                method=method, plan=plan,
-            ).estimate
-            for j, nh in enumerate(nulls)
-        ]
+        null_counts = [row[i] for row in null_rows]
         out.append(
             MotifSignificance(
                 motif_name=q.name,
-                observed=observed,
+                observed=observed[i],
                 null_mean=float(np.mean(null_counts)),
                 null_std=float(np.std(null_counts, ddof=1)) if len(null_counts) > 1 else 0.0,
             )

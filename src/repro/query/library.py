@@ -322,7 +322,7 @@ def _coerce_one_label(node: object, value: object, max_label: int) -> int:
         raise ValueError(f"bad label for node {node!r}: {value!r} (need int)")
     try:
         lab = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"bad label for node {node!r}: {value!r} (need int)") from None
     if isinstance(value, float) and value != lab:
         raise ValueError(f"bad label for node {node!r}: {value!r} (need int)")

@@ -203,7 +203,7 @@ class CountingService:
             coerce = str if field in ("method", "coloring_strategy") else int
             try:
                 coerced = coerce(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise BadRequestError(
                     f"bad value for {field!r}: {value!r} (need {coerce.__name__})"
                 ) from None
@@ -368,11 +368,18 @@ class CountingService:
         """Synchronous counting: ``(RunResult, served_from_cache)``.
 
         Bit-identical to ``CountingEngine.count`` with the same resolved
-        parameters.  Raises :class:`ServiceSaturated` when the queue is
-        full and :class:`ServiceTimeout` when the deadline passes.
+        parameters.  ``timeout`` (seconds; ``None`` waits forever) must
+        lie in ``(0, threading.TIMEOUT_MAX]``, checked before anything is
+        queued.  Raises :class:`ServiceSaturated` when the queue is full
+        and :class:`ServiceTimeout` when the deadline passes.
         """
         with self._lock:
             self._count_requests += 1
+        if timeout is not None and not 0.0 < timeout <= threading.TIMEOUT_MAX:
+            raise BadRequestError(
+                f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+                f"got {timeout!r}"
+            )
         result, job, _fp = self._admit(dataset, query, params)
         if result is not None:
             return result, True

@@ -7,13 +7,17 @@ from repro.counting import (
     balanced_coloring,
     color_class_sizes,
     coloring_batch,
-    estimate_matches,
     uniform_coloring,
 )
 from repro.engine import CountingEngine
 from repro.graph import erdos_renyi
 from repro.query import cycle_query, paper_query
 
+
+def replay(g, q, trials, seed):
+    """Per-coloring reference: the engine's draws, counted one at a time."""
+    engine = CountingEngine(g)
+    return [engine.count_colorful(q, c) for c in coloring_batch(g.n, q.k, trials, seed)]
 
 
 class TestColoringStrategies:
@@ -48,31 +52,25 @@ class TestColoringStrategies:
             coloring_batch(10, 2, 1, seed=0, strategy="rainbow")
 
     def test_batch_matches_sequential_estimator(self, rng):
-        """coloring_batch('uniform') reproduces estimate_matches' draws."""
+        """coloring_batch('uniform') reproduces the engine's draws."""
         g = erdos_renyi(20, 0.3, rng, name="g")
         q = cycle_query(4)
-        seq = estimate_matches(g, q, trials=3, seed=5)
-        batch = coloring_batch(g.n, q.k, 3, seed=5)
-        engine = CountingEngine(g)
-        counts = [engine.count_colorful(q, c) for c in batch]
-        assert counts == seq.colorful_counts
+        seq = CountingEngine(g).count(q, trials=3, seed=5)
+        assert replay(g, q, 3, seed=5) == seq.colorful_counts
 
 
 class TestParallelEstimator:
     def test_matches_sequential(self, rng):
         g = erdos_renyi(18, 0.35, rng, name="g18")
         q = paper_query("glet1")
-        seq = estimate_matches(g, q, trials=4, seed=3)
         par = CountingEngine(g).count(q, trials=4, seed=3, workers=2)
-        assert par.colorful_counts == seq.colorful_counts
-        assert par.estimate == seq.estimate
+        assert par.colorful_counts == replay(g, q, 4, seed=3)
 
     def test_single_worker_fallback(self, rng):
         g = erdos_renyi(15, 0.35, rng)
         q = cycle_query(3)
         par = CountingEngine(g).count(q, trials=3, seed=1, workers=1)
-        seq = estimate_matches(g, q, trials=3, seed=1)
-        assert par.colorful_counts == seq.colorful_counts
+        assert par.colorful_counts == replay(g, q, 3, seed=1)
 
     def test_balanced_strategy(self, rng):
         g = erdos_renyi(15, 0.4, rng)

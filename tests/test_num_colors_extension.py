@@ -4,10 +4,11 @@
 import numpy as np
 import pytest
 
-from repro.counting import count_colorful_matches, count_matches, estimate_matches
+from repro.counting import count_colorful_matches, count_matches
 from repro.counting.estimator import normalization_factor
 from repro.counting.solver import solve_plan
 from repro.decomposition import build_decomposition
+from repro.engine import CountingEngine
 from repro.graph import Graph, erdos_renyi
 from repro.query import cycle_query, paper_query
 
@@ -77,8 +78,9 @@ class TestVarianceReduction:
     def test_more_colors_less_variance(self, rng):
         g = erdos_renyi(22, 0.3, rng, name="er22")
         q = paper_query("glet1")
-        base = estimate_matches(g, q, trials=30, seed=4)
-        wide = estimate_matches(g, q, trials=30, seed=4, num_colors=2 * q.k)
+        engine = CountingEngine(g)
+        base = engine.count(q, trials=30, seed=4)
+        wide = engine.count(q, trials=30, seed=4, num_colors=2 * q.k)
         # identical seeds, more colors: relative spread should shrink
         assert wide.relative_std < base.relative_std
 
@@ -86,5 +88,5 @@ class TestVarianceReduction:
         g = erdos_renyi(22, 0.3, rng)
         q = cycle_query(3)
         exact = count_matches(g, q)
-        wide = estimate_matches(g, q, trials=50, seed=5, num_colors=9)
+        wide = CountingEngine(g).count(q, trials=50, seed=5, num_colors=9)
         assert wide.estimate == pytest.approx(exact, rel=0.35)

@@ -67,6 +67,7 @@ class TestPrecisionSpec:
         dict(rel_error=-0.1),
         dict(rel_error=0.05, confidence=0.0),
         dict(rel_error=0.05, confidence=1.0),
+        dict(rel_error=float("nan")),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -103,6 +104,13 @@ class TestPrecisionSpec:
         # fixed-mode mapping naming only min_trials runs exactly that many
         spec = PrecisionSpec.coerce({"min_trials": 4})
         assert spec == PrecisionSpec.fixed(4)
+
+    def test_coerce_rejects_fractional_trial_bounds(self):
+        # the rule top-level integer fields follow: 2.0 is 2, 2.5 an error
+        assert PrecisionSpec.coerce({"min_trials": 2.0}) == PrecisionSpec.fixed(2)
+        for name in ("min_trials", "max_trials"):
+            with pytest.raises(ValueError, match="whole number"):
+                PrecisionSpec.coerce({"rel_error": 0.1, name: 2.5})
 
     def test_coerce_mapping_rel_only_keeps_defaults(self):
         spec = PrecisionSpec.coerce({"rel_error": 0.05})

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.counting import coloring_batch
 from repro.engine import (
     CountingEngine,
     CountRequest,
@@ -59,15 +60,27 @@ class TestRunResultSerialization:
         assert back.plan_digest == doc["plan"]
 
     def test_load_stats_survive_the_wire(self, graph):
+        """The per-rank load of one simulated coloring round-trips JSON."""
+        q = paper_query("glet1")
         with CountingEngine(graph) as engine:
-            result = engine.count(paper_query("glet1"), trials=2, seed=0,
-                                  method="db", nranks=4)
-        assert result.load is not None
-        back = RunResult.from_dict(result.to_dict())
-        assert back.load is not None
-        assert back.load.nranks == result.load.nranks
-        assert back.makespan == pytest.approx(result.makespan)
-        assert back.speedup == pytest.approx(result.speedup)
+            ctx = engine.make_context(4)
+            engine.count_colorful(
+                q, coloring_batch(graph.n, q.k, 1, seed=0)[0], method="db", ctx=ctx
+            )
+        back = LoadStats.from_dict(json.loads(json.dumps(ctx.stats.to_dict())))
+        assert back.nranks == 4
+        assert back.to_dict() == ctx.stats.to_dict()
+        assert back.makespan() == pytest.approx(ctx.stats.makespan())
+        assert back.speedup() == pytest.approx(ctx.stats.speedup())
+
+    def test_retired_load_and_kappa_keys_are_ignored(self, graph):
+        """Documents from builds that still wrote ``load``/``kappa`` load."""
+        with CountingEngine(graph) as engine:
+            result = engine.count(paper_query("glet1"), trials=2, seed=0)
+        doc = result.to_dict()
+        assert "load" not in doc and "kappa" not in doc
+        older = dict(doc, load=LoadStats(4).to_dict(), kappa=0.5)
+        assert RunResult.from_dict(older).to_dict() == doc
 
 
 class TestStatsDicts:

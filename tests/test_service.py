@@ -275,6 +275,8 @@ class TestCountingService:
             service.count("tiny", "glet1", trials="abc")
         with pytest.raises(BadRequestError):
             service.count("tiny", "glet1", trials=2.5)
+        with pytest.raises(BadRequestError):
+            service.count("tiny", "glet1", trials=float("inf"))
         # untrusted knobs are bounded above: no OOM/fork-bomb requests
         with pytest.raises(BadRequestError):
             service.count("tiny", "glet1", trials=100_000_000)
@@ -285,6 +287,12 @@ class TestCountingService:
         a, _ = service.count("tiny", "glet1", trials="2", seed=8)
         b, cached = service.count("tiny", "glet1", trials=2.0, seed=8)
         assert cached and b is a  # "2" and 2.0 coerce to the same key
+
+    def test_out_of_range_timeout_rejected_before_queueing(self, service):
+        for timeout in (float("inf"), 1e20, float("nan"), 0, -1):
+            with pytest.raises(BadRequestError, match="timeout"):
+                service.count("tiny", "glet1", timeout=timeout)
+        assert service.queue.stats()["submitted"] == 0
 
     def test_single_flight_dedup(self, service):
         """Concurrent identical misses compute once and share the result."""

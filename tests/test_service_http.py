@@ -93,6 +93,15 @@ class TestEndpoints:
             (dict(dataset="er60", query="glet1", method="warp"), 400),
             (dict(dataset="er60", query="glet1", coloring_strategy="nope"), 400),
             (dict(dataset="er60", query="glet1", seed=-1), 400),
+            (dict(dataset="er60", query="glet1", trials=float("inf")), 400),
+            # precision values the top-level fields already reject
+            (dict(dataset="er60", query="glet1", precision={"rel_error": "nan"}), 400),
+            (dict(dataset="er60", query="glet1", precision={"min_trials": 2.5}), 400),
+            # sync deadlines outside (0, threading.TIMEOUT_MAX]
+            (dict(dataset="er60", query="glet1", timeout="inf"), 400),
+            (dict(dataset="er60", query="glet1", timeout=1e20), 400),
+            (dict(dataset="er60", query="glet1", timeout="nan"), 400),
+            (dict(dataset="er60", query="glet1", timeout=-1), 400),
             # retired array namespaces (device specs and "auto")
             (dict(dataset="er60", query="glet1", namespace="auto"), 400),
             (dict(dataset="er60", query="glet1", namespace="CuPy"), 400),
@@ -169,6 +178,8 @@ class TestLabeledWireFormat:
             # non-integer label
             (dict(dataset="er60l", query="glet1",
                   labels={"0": "x", "1": 0, "2": 0, "3": 0}), 400, "need int"),
+            (dict(dataset="er60l", query="glet1",
+                  labels=[0, 1, 0, float("inf")]), 400, "need int"),
             # out-of-range label
             (dict(dataset="er60l", query="glet1",
                   labels=[0, 1, 0, 2**40]), 400, "must be in"),

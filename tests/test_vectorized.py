@@ -76,13 +76,13 @@ class TestLibraryParity:
                 == via_solver
             )
 
-    def test_solve_plan_dispatches_ps_vec(self, medium_graph):
+    def test_solve_plan_rejects_ps_vec(self, medium_graph):
+        """The sweep has its own entry (solve_plan_vectorized, the ps-vec
+        backend); the dict solver does not dispatch to it by name."""
         q = paper_queries()["glet1"]
         colors = np.random.default_rng(0).integers(0, q.k, size=medium_graph.n)
-        plan = choose_plan(q)
-        assert solve_plan(plan, medium_graph, colors, method="ps-vec") == solve_plan(
-            plan, medium_graph, colors, method="ps"
-        )
+        with pytest.raises(ValueError, match="method must be one of"):
+            solve_plan(choose_plan(q), medium_graph, colors, method="ps-vec")
 
     def test_empty_and_tiny_graphs(self):
         q = cycle_query(4)
@@ -218,9 +218,12 @@ class TestEngineIntegration:
         assert a.colorful_counts == b.colorful_counts
 
     def test_load_tracking_rejected(self, medium_graph):
-        engine = CountingEngine(medium_graph, nranks=4)
+        engine = CountingEngine(medium_graph)
+        colors = np.zeros(medium_graph.n, dtype=np.int64)
         with pytest.raises(ValueError, match="cannot attribute load"):
-            engine.count(cycle_query(4), trials=1, method="ps-vec")
+            engine.count_colorful(
+                cycle_query(4), colors, method="ps-vec", ctx=engine.make_context(4)
+            )
 
 
 # ----------------------------------------------------------------------
