@@ -289,8 +289,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="default root seed (default: %(default)s)")
     parser.add_argument(
         "--engine-workers", type=int, default=1, metavar="N",
-        help="EngineConfig.workers: trial fan-out processes, or the shard "
-        "pool size with --method ps-dist (default: %(default)s)",
+        help="EngineConfig.workers: pooled processes that run whole trials, "
+        "or shards with --method ps-dist (default: %(default)s)",
     )
     parser.add_argument("--partition", choices=("block", "cyclic", "hash"), default="block",
                         help="vertex partition strategy for ps-dist shards (default: %(default)s)")
@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--workers", type=int, default=1,
-        help="process-parallel trials; with --method ps-dist, the number "
-        "of shard worker processes (default: 1, sequential)",
+        help="worker processes that run whole trials; with --method ps-dist, "
+        "the number of shards (default: 1, sequential)",
     )
     p_count.add_argument(
         "--partition", choices=("block", "cyclic", "hash"), default="block",

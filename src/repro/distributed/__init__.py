@@ -1,13 +1,14 @@
 """Distributed engine: real sharded execution plus the simulated predictor.
 
-The ``ps-dist`` executor (:mod:`repro.distributed.executor`) runs the
+The pooled executor (:mod:`repro.distributed.executor`) runs the
 vectorized PS dynamic program across real worker processes over
-shared-memory CSR shards; the historical simulation (``runtime`` /
+shared-memory CSR shards (``ps-dist``), and runs whole trials for the
+engine's ``workers > 1``; the historical simulation (``runtime`` /
 ``metrics``) stays as its prediction and planning layer.
 """
 
 from .engine import DEFAULT_KAPPA, DistributedRun, run_distributed
-from .executor import ShardedExecutor, ShardResult, count_colorful_ps_dist
+from .executor import ShardedExecutor, ShardResult
 from .metrics import (
     MethodComparison,
     ScalingCurve,
@@ -35,7 +36,6 @@ from .trace import format_trace, hotspots, rank_profile, stage_report
 __all__ = [
     "ShardedExecutor",
     "ShardResult",
-    "count_colorful_ps_dist",
     "WallStageRecord",
     "WallStats",
     "Partition",

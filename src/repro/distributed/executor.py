@@ -12,12 +12,15 @@ for bit**: integer table sums are exact, and the shard invariant (path
 extensions never change a row's start vertex) puts every table row in
 exactly one shard.
 
+The same pool also runs whole trials (:meth:`ShardedExecutor.run_trials`):
+that is how the engine runs ``workers > 1`` for every other backend.
+
 Data placement
 --------------
 * the CSR adjacency (``indptr``/``indices``) and the per-trial coloring
   live in :mod:`multiprocessing.shared_memory` segments — workers map
-  them zero-copy and read-only (:class:`_ShardGraph` is a view, never a
-  copy of the graph);
+  them zero-copy and read-only (:meth:`Graph.wrap_csr` over the mapped
+  arrays, never a copy of the graph);
 * decomposition plans are shipped once per executor (workers re-derive
   the same bottom-up block order from ``Plan.blocks()``);
 * boundary table slices travel over per-worker pipes: worker → master
@@ -32,16 +35,16 @@ runtime.  The simulated :class:`LoadStats` accounting stays as the
 (``method="ps"``, same partition strategy) predicts the same coloring.
 """
 
+
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import threading
 import time
 import weakref
 from multiprocessing import shared_memory
-from multiprocessing.connection import Connection
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -57,17 +60,16 @@ from ..counting.vectorized import (
     _group_sum,
 )
 from ..decomposition.blocks import LEAF, SINGLETON
-from ..decomposition.planner import heuristic_plan
 from ..decomposition.tree import Plan
-from ..graph.graph import CSR, Graph
+from ..graph.graph import Graph
 from ..query.query import QueryGraph
 from .partition import make_partition
 from .runtime import WallStats
 
-__all__ = ["ShardedExecutor", "ShardResult", "count_colorful_ps_dist", "DEFAULT_DIST_WORKERS"]
+if TYPE_CHECKING:  # pragma: no cover - the engine layer sits above this one
+    from ..engine.backends import CountingBackend
 
-#: shard count used when callers pass ``workers=None``
-DEFAULT_DIST_WORKERS = min(4, os.cpu_count() or 1)
+__all__ = ["ShardedExecutor", "ShardResult"]
 
 
 class ShardResult(NamedTuple):
@@ -75,33 +77,6 @@ class ShardResult(NamedTuple):
 
     count: int
     stats: WallStats
-
-
-class _ShardGraph:
-    """Zero-copy CSR view over the shared-memory adjacency arrays.
-
-    Quacks enough like :class:`repro.graph.graph.Graph` for the
-    vectorized kernels (``n``, ``degrees``, ``to_csr``, ``labels``)
-    without ever copying ``indptr``/``indices`` out of shared memory.
-    """
-
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "labels")
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        labels: Optional[np.ndarray] = None,
-    ) -> None:
-        self.n = len(indptr) - 1
-        self.m = len(indices) // 2
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = np.diff(indptr)
-        self.labels = labels
-
-    def to_csr(self) -> CSR:
-        return CSR(self.indptr, self.indices)
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +165,20 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
+def _join_trace(trace_id: Optional[str]) -> None:
+    """Re-establish the master's trace across the process boundary: a
+    local collector whose spans ship back with each reply (none when
+    ``trace_id`` is ``None``, i.e. nothing is being collected)."""
+    obs.install_trace(obs.Trace(trace_id) if trace_id is not None else None)
+    if trace_id is not None:
+        obs.set_trace_id(trace_id)
+
+
+def _drain_events() -> List[Dict[str, object]]:
+    trace = obs.active_trace()
+    return trace.drain() if trace is not None else []
+
+
 def _worker_main(
     conn: Connection,
     rank: int,
@@ -212,7 +201,10 @@ def _worker_main(
     ``("shard", idx, payload, cpu_seconds, wall_seconds, events)`` —
     ``events`` is the list of obs span events recorded in this worker
     since the last reply (empty when no trace is active) — or
-    ``("error", exception)``.
+    ``("error", exception)``.  Whole trials: ``("run", index, key,
+    backend, query, colors, num_colors, trace_id)`` (``key`` is ``None``
+    for plan-free backends) answers ``("counted", index, count, seconds,
+    events)``.
     """
     shms = [_attach_shm(nm) for nm in shm_names]
     indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=shms[0].buf)
@@ -221,12 +213,12 @@ def _worker_main(
     labels = (
         np.ndarray((n,), dtype=np.int64, buffer=shms[3].buf) if has_labels else None
     )
-    g = _ShardGraph(indptr, indices, labels)
+    g = Graph.wrap_csr(indptr, indices, labels)
     start_mask = make_partition(n, nranks, strategy).owners == rank
-    plans: Dict[int, List] = {}
+    plans: Dict[int, Plan] = {}
     blocks: Optional[List] = None
     solver: Optional[VectorizedSolver] = None
-    # the master only ever recv()s one reply per "block" request, so a
+    # the master only ever recv()s one reply per "block"/"run" request, so a
     # failure in any other op is held here and reported on the next
     # "block" — sending it eagerly would desync the request/reply pairing
     pending_error: Optional[BaseException] = None
@@ -241,9 +233,9 @@ def _worker_main(
                 break
             try:
                 if op == "plan":
-                    plans[msg[1]] = msg[2].blocks()
+                    plans[msg[1]] = msg[2]
                 elif op == "trial":
-                    blocks = plans[msg[1]]
+                    blocks = plans[msg[1]].blocks()
                     solver = VectorizedSolver(
                         g,
                         colors,
@@ -251,16 +243,7 @@ def _worker_main(
                         start_mask=start_mask,
                         vertex_ok=label_masks_from_arrays(labels, msg[3]),
                     )
-                    # re-establish the master's trace across the process
-                    # boundary: install a local collector so the solver's
-                    # sweep spans (and the dist.solve wrapper below) are
-                    # recorded here and shipped back with each shard reply
-                    trace_id = msg[4] if len(msg) > 4 else None
-                    obs.install_trace(
-                        obs.Trace(trace_id) if trace_id is not None else None
-                    )
-                    if trace_id is not None:
-                        obs.set_trace_id(trace_id)
+                    _join_trace(msg[4])
                     pending_error = None  # stale failures die with their trial
                 elif op == "block":
                     if pending_error is not None:
@@ -274,13 +257,23 @@ def _worker_main(
                         result = solver.solve(blocks[idx])
                     cpu = time.process_time() - cpu0
                     wall = time.perf_counter() - wall0
-                    trace = obs.active_trace()
-                    events = trace.drain() if trace is not None else []
-                    conn.send(("shard", idx, _pack(result), cpu, wall, events))
+                    conn.send(("shard", idx, _pack(result), cpu, wall, _drain_events()))
                 elif op == "table":
                     solver.inject(blocks[msg[1]], _unpack(msg[2]))
+                elif op == "run":
+                    _, index, key, backend, query, trial_colors, num_colors, trace_id = msg
+                    _join_trace(trace_id)
+                    t0 = time.perf_counter()
+                    with obs.span("engine.trial", index=index):
+                        count = backend.count_colorful(
+                            g, query, trial_colors,
+                            plan=plans[key] if key is not None else None,
+                            num_colors=num_colors,
+                        )
+                    seconds = time.perf_counter() - t0
+                    conn.send(("counted", index, int(count), seconds, _drain_events()))
             except Exception as exc:  # noqa: BLE001 - forwarded to the master
-                if op == "block":
+                if op in ("block", "run"):
                     conn.send(("error", exc))
                 else:
                     pending_error = exc
@@ -296,6 +289,12 @@ def _worker_main(
 # ----------------------------------------------------------------------
 # master
 # ----------------------------------------------------------------------
+
+def _shipped_trace_id() -> Optional[str]:
+    """The trace ID to hand to workers: only while a trace is actually
+    being collected — otherwise workers skip span recording entirely."""
+    return obs.current_trace_id() if obs.active_trace() is not None else None
+
 
 def _release(
     procs: Sequence[mp.Process],
@@ -343,8 +342,9 @@ class ShardedExecutor:
 
     Construction maps the graph into shared memory and spawns ``workers``
     processes; :meth:`count` then runs one coloring trial through the
-    sharded DP.  Reuse the executor across trials and plans — per-call
-    cost is one small message round per decomposition block.  Close with
+    sharded DP, and :meth:`run_trials` hands whole colorings to them.
+    Reuse the executor across trials and plans — per-call cost is one
+    small message round per decomposition block (or per trial).  Close with
     :meth:`close` or a ``with`` block; a dropped executor is reclaimed by
     a finalizer (workers are daemons, segments are unlinked).
 
@@ -353,14 +353,8 @@ class ShardedExecutor:
     load balance and which table rows each rank produces.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        workers: Optional[int] = None,
-        strategy: str = "block",
-        start_method: Optional[str] = None,
-    ) -> None:
-        nranks = int(workers) if workers is not None else DEFAULT_DIST_WORKERS
+    def __init__(self, graph: Graph, workers: int, strategy: str = "block") -> None:
+        nranks = int(workers)
         if nranks < 1:
             raise ValueError("need at least one worker")
         # validate the strategy eagerly, before processes exist
@@ -368,9 +362,7 @@ class ShardedExecutor:
         self.graph = graph
         self.nranks = nranks
         self.strategy = strategy
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
         indptr, indices = graph.to_csr()
         has_labels = graph.labels is not None
@@ -408,11 +400,11 @@ class ShardedExecutor:
             raise
         self._plan_keys: Dict[int, int] = {}
         self._plans: List[Plan] = []
-        # one trial owns the pipes end-to-end; concurrent count() calls
+        # one run owns the pipes end-to-end; concurrent count() calls
         # (service job workers sharing a pooled executor) take turns
         # rather than interleaving the superstep message rounds.  close()
         # takes it too, so teardown waits for the run in flight; reentrant
-        # because a mid-run worker failure closes from inside count()
+        # because a mid-run worker failure closes from inside the run
         self._run_lock = threading.RLock()
         self._runs = 0
         self._finalizer = weakref.finalize(
@@ -440,15 +432,26 @@ class ShardedExecutor:
         self.close()
 
     # ------------------------------------------------------------------
-    def _broadcast(self, msg: tuple) -> None:
+    def _send(self, conn: Connection, msg: tuple) -> None:
         try:
-            for conn in self._conns:
-                conn.send(msg)
+            conn.send(msg)
         except OSError:
             # a worker died while the pool was idle (e.g. OOM-killed):
             # close so engine-level caches replace this executor
             self.close()
-            raise RuntimeError("ps-dist worker died; executor closed") from None
+            raise RuntimeError("pool worker died; executor closed") from None
+
+    def _recv(self, conn: Connection) -> tuple:
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            self.close()
+            rank = self._conns.index(conn)
+            raise RuntimeError(f"pool worker {rank} died mid-run") from None
+
+    def _broadcast(self, msg: tuple) -> None:
+        for conn in self._conns:
+            self._send(conn, msg)
 
     def _register_plan_locked(self, plan: Plan) -> int:
         key = self._plan_keys.get(id(plan))
@@ -464,11 +467,7 @@ class ShardedExecutor:
         shards: List[tuple] = [None] * self.nranks  # type: ignore[list-item]
         error: Optional[BaseException] = None
         for rank, conn in enumerate(self._conns):
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                self.close()
-                raise RuntimeError(f"ps-dist worker {rank} died mid-run") from None
+            msg = self._recv(conn)
             if msg[0] == "error":
                 error = error or msg[1]
                 continue
@@ -486,6 +485,18 @@ class ShardedExecutor:
             raise error
         return shards
 
+    def _coloring(self, colors: Sequence[int], k: int, num_colors: Optional[int]) -> np.ndarray:
+        """``colors`` as int64, checked against the graph and the palette."""
+        kc = num_colors if num_colors is not None else k
+        if kc < k:
+            raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
+        arr = np.asarray(colors, dtype=np.int64)
+        if len(arr) != self.graph.n:
+            raise ValueError("coloring must assign a color to every data vertex")
+        if k > 0 and arr.size and (arr.min() < 0 or arr.max() >= kc):
+            raise ValueError(f"colors must lie in [0, {kc})")
+        return arr
+
     # ------------------------------------------------------------------
     def count(
         self,
@@ -501,19 +512,12 @@ class ShardedExecutor:
         """
         if self.closed:
             raise RuntimeError("executor is closed")
-        colors = np.asarray(colors, dtype=np.int64)
         k = plan.query.k
-        kc = num_colors if num_colors is not None else k
-        if kc < k:
-            raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
-        if kc > MAX_COLORS_VEC:
+        colors = self._coloring(colors, k, num_colors)
+        if (num_colors if num_colors is not None else k) > MAX_COLORS_VEC:
             raise ValueError(
                 f"ps-dist packs signatures in int64; num_colors <= {MAX_COLORS_VEC}"
             )
-        if len(colors) != self.graph.n:
-            raise ValueError("coloring must assign a color to every data vertex")
-        if k > 0 and colors.size and (colors.min() < 0 or colors.max() >= kc):
-            raise ValueError(f"colors must lie in [0, {kc})")
         qlabels = plan.query.labels
         if qlabels is not None and self.graph.labels is None:
             raise ValueError(
@@ -539,12 +543,7 @@ class ShardedExecutor:
 
             key = self._register_plan_locked(plan)
             self._colors_view[:] = colors
-            # ship the trace ID only while a trace is actually being
-            # collected — otherwise workers skip span recording entirely
-            trace_id = (
-                obs.current_trace_id() if obs.active_trace() is not None else None
-            )
-            self._broadcast(("trial", key, k, qlabels, trace_id))
+            self._broadcast(("trial", key, k, qlabels, _shipped_trace_id()))
 
             blocks = plan.blocks()
             stages = blocks[:-1] if root.kind == SINGLETON else blocks
@@ -582,6 +581,65 @@ class ShardedExecutor:
             self._runs += 1
             return ShardResult(int(count), stats)
 
+    def run_trials(
+        self,
+        backend: "CountingBackend",
+        query: QueryGraph,
+        plan: Optional[Plan],
+        colorings: Sequence[Sequence[int]],
+        num_colors: Optional[int] = None,
+        start: int = 0,
+    ) -> List[Tuple[int, float]]:
+        """Count whole colorings on the pooled workers, one trial each.
+
+        A worker runs ``backend.count_colorful`` over the shared graph for
+        one coloring at a time, and whichever worker answers next takes
+        the next coloring.  Returns ``(count, seconds)`` per coloring, in
+        input order — the same counts an in-process loop gives.  ``start``
+        is the trial index of ``colorings[0]``, stamped on the workers'
+        ``engine.trial`` spans.  A failed trial raises its error once the
+        other workers are idle again, so the pool stays usable.
+        """
+        if self.closed:
+            raise RuntimeError("executor is closed")
+        trials = [self._coloring(c, query.k, num_colors) for c in colorings]
+        results: List[Tuple[int, float]] = [(0, 0.0)] * len(trials)
+        error: Optional[BaseException] = None
+        with self._run_lock:
+            key = self._register_plan_locked(plan) if plan is not None else None
+            trace_id = _shipped_trace_id()
+            todo = iter(range(len(trials)))
+            busy: Dict[Connection, int] = {}  # worker pipe -> its trial
+
+            def feed(conn: Connection) -> None:
+                i = next(todo, None)
+                if i is not None:
+                    busy[conn] = i
+                    self._send(conn, (
+                        "run", start + i, key, backend, query, trials[i],
+                        num_colors, trace_id,
+                    ))
+
+            for conn in self._conns:
+                feed(conn)
+            while busy:
+                for conn in cast(List[Connection], wait(list(busy))):
+                    i = busy.pop(conn)
+                    msg = self._recv(conn)
+                    if msg[0] == "error":
+                        # stop feeding; the other workers finish their trial
+                        error = error or msg[1]
+                        continue
+                    _, _, count, seconds, events = msg
+                    results[i] = (count, seconds)
+                    obs.add_events(events)
+                    self._runs += 1
+                    if error is None:
+                        feed(conn)
+        if error is not None:
+            raise error
+        return results
+
     def describe(self) -> Dict[str, object]:
         """JSON-safe snapshot of this pool (surfaced by the service's
         ``/stats`` endpoint)."""
@@ -602,28 +660,3 @@ class ShardedExecutor:
             f"ShardedExecutor(n={self.graph.n}, workers={self.nranks}, "
             f"strategy={self.strategy!r}, {state})"
         )
-
-
-def count_colorful_ps_dist(
-    g: Graph,
-    query: QueryGraph,
-    colors: Sequence[int],
-    plan: Optional[Plan] = None,
-    num_colors: Optional[int] = None,
-    workers: Optional[int] = None,
-    strategy: str = "block",
-    executor: Optional[ShardedExecutor] = None,
-) -> int:
-    """Colorful matches of ``query`` in ``g`` via the sharded executor.
-
-    Pass a long-lived ``executor`` to amortise worker startup across
-    trials (the engine does); otherwise a transient pool is spun up for
-    this one call and torn down after.
-    """
-    plan = plan if plan is not None else heuristic_plan(query)
-    if executor is not None:
-        if executor.graph is not g:
-            raise ValueError("executor is bound to a different data graph")
-        return executor.count(plan, colors, num_colors=num_colors).count
-    with ShardedExecutor(g, workers=workers, strategy=strategy) as ex:
-        return ex.count(plan, colors, num_colors=num_colors).count

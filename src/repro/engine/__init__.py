@@ -10,7 +10,7 @@ funnels every query through one coherent API::
     engine = CountingEngine(g)                       # DB kernel defaults
     result = engine.count(q, trials=5, seed=1)       # RunResult
     batch  = engine.count_many(queries, trials=5)    # shared plan cache
-    fast   = engine.count(q, workers=4)              # process-parallel trials
+    fast   = engine.count(q, workers=4)              # trials on 4 pooled processes
 
 Pieces:
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..decomposition.planner import heuristic_plan
 from ..decomposition.tree import Plan
-from ..distributed.executor import ShardedExecutor, count_colorful_ps_dist
+from ..distributed.executor import ShardedExecutor
 from ..distributed.runtime import ExecutionContext
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
@@ -80,8 +80,9 @@ class CountingBackend:
     needs_plan: bool = False
     #: whether the kernel attributes operations to a simulated context
     tracks_load: bool = False
-    #: whether ``workers`` means shard processes (engine passes a pooled
-    #: executor and runs trials sequentially) rather than trial fan-out
+    #: whether ``workers`` means shard processes (engine passes its pooled
+    #: executor and runs trials sequentially) rather than whole trials
+    #: spread over that pool
     distributed: bool = False
 
     def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
@@ -184,15 +185,14 @@ class DistributedBackend(CountingBackend):
     (shared-memory CSR, boundary table exchange between supersteps) and
     reduces per-shard results to a count bit-identical to ``ps``/
     ``ps-vec``.  The ``distributed`` flag tells the engine to interpret
-    ``workers`` as the shard count (and to reuse a pooled
-    :class:`~repro.distributed.executor.ShardedExecutor` across trials)
-    instead of fanning trials out.
+    ``workers`` as the shard count and to pass its pooled
+    :class:`~repro.distributed.executor.ShardedExecutor` in.
     """
 
     name = DIST_METHOD
     needs_plan = True
     tracks_load = False
-    #: engine dispatch hint: ``workers`` means shard ranks, not trial fan-out
+    #: engine dispatch hint: ``workers`` means shard ranks, not trial workers
     distributed = True
 
     def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
@@ -208,21 +208,18 @@ class DistributedBackend(CountingBackend):
         plan: Optional[Plan] = None,
         ctx: Optional[ExecutionContext] = None,
         num_colors: Optional[int] = None,
-        workers: Optional[int] = None,
-        partition: str = "block",
         executor: Optional[ShardedExecutor] = None,
     ) -> int:
-        """Run the sharded executor (ctx is ignored; see ``tracks_load``).
-
-        ``executor`` reuses a live worker pool (the engine passes its
-        cached one); otherwise a transient pool is created for this call.
-        """
+        """Run one sharded trial on ``executor``, a live pool over ``g``
+        (``CountingEngine.executor_for``; ctx is ignored, see
+        ``tracks_load``)."""
         self.check(query, num_colors)
+        if executor is None:
+            raise ValueError("ps-dist needs a live executor (CountingEngine.executor_for)")
+        if executor.graph is not g:
+            raise ValueError("executor is bound to a different data graph")
         plan = plan if plan is not None else heuristic_plan(query)
-        return count_colorful_ps_dist(
-            g, query, colors, plan=plan, num_colors=num_colors,
-            workers=workers, strategy=partition, executor=executor,
-        )
+        return executor.count(plan, colors, num_colors=num_colors).count
 
 
 class TreeletBackend(CountingBackend):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
 
+from ..query.library import whole_number
 from ..query.query import QueryGraph
 
 __all__ = ["EngineConfig", "CountRequest", "PrecisionSpec", "PrecisionLike"]
@@ -34,14 +35,6 @@ DEFAULT_MAX_TRIALS = 200
 #: default floor on adaptive trial counts: the t-interval needs a real
 #: variance estimate before the stopping rule is allowed to fire
 DEFAULT_MIN_TRIALS = 3
-
-
-def _whole_number(name: str, value: object) -> int:
-    """``value`` as an int; a float with a fractional part is rejected,
-    not truncated (the rule the service applies to top-level ints)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)  # type: ignore[call-overload]
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ class PrecisionSpec:
                 kwargs["confidence"] = float(value["confidence"])  # type: ignore[arg-type]
             for name in ("min_trials", "max_trials"):
                 if name in value:
-                    kwargs[name] = _whole_number(name, value[name])
+                    kwargs[name] = whole_number(value[name], name)
             if rel is None and "min_trials" in value and "max_trials" not in value:
                 # fixed-mode mapping with only min_trials: run exactly that
                 kwargs["max_trials"] = kwargs["min_trials"]
@@ -148,11 +141,12 @@ class EngineConfig:
     ``method="db"`` keeps the paper's contribution as the default kernel;
     pass ``method="auto"`` to let the registry pick per query (treelet DP
     for trees, ``ps-dist`` for huge inputs when ``workers > 1``,
-    ``ps-vec`` for large ones, DB otherwise).  ``workers`` fans
-    independent trials over processes for ordinary backends; for the
-    distributed ``ps-dist`` backend it is the shard count and
-    ``partition_strategy`` picks how vertices map to shard processes (and
-    to the simulated ranks of :meth:`CountingEngine.make_context`).
+    ``ps-vec`` for large ones, DB otherwise).  ``workers`` sizes the
+    engine's pooled worker processes: ordinary backends run whole trials
+    on them; for the distributed ``ps-dist`` backend it is the shard
+    count and ``partition_strategy`` picks how vertices map to shard
+    processes (and to the simulated ranks of
+    :meth:`CountingEngine.make_context`).
     """
 
     method: str = "db"

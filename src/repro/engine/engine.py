@@ -13,23 +13,21 @@ legacy free functions recomputed on every call:
 
 Single queries run through :meth:`CountingEngine.count`, batches through
 :meth:`CountingEngine.count_many`; both accept :class:`CountRequest`
-objects or raw queries plus keyword overrides.  ``workers=N`` fans the
-independent color-coding trials out over processes, bit-identical to the
+objects or raw queries plus keyword overrides.  ``workers=N`` runs on a
+pool of N worker processes that the engine keeps alive across
+trials/requests (a fourth cache — close it with
+:meth:`CountingEngine.close` or an engine ``with`` block).  For most
+backends each worker counts whole trials, bit-identical to the
 sequential path for the same seed (every trial draws from the same
-deterministic coloring stream).  With a *distributed* backend
-(``method="ps-dist"``) ``workers`` instead sizes the shard pool: each
-trial runs once, sharded across N real worker processes, and the engine
-keeps the pool alive across trials/requests (a fourth cache — close it
-with :meth:`CountingEngine.close` or an engine ``with`` block).
+deterministic coloring stream); with the *distributed* backend
+(``method="ps-dist"``) each trial is instead sharded across all N.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import itertools
 import math
-import multiprocessing as mp
 import threading
 import time
 import weakref
@@ -53,7 +51,7 @@ from ..distributed.runtime import ExecutionContext
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
 from ..theory.bounds import estimator_relative_variance_bound
-from .backends import DEFAULT_REGISTRY, SolverBackend
+from .backends import DEFAULT_REGISTRY, CountingBackend
 from .config import CountRequest, EngineConfig, PrecisionSpec
 from .result import RunResult
 
@@ -122,36 +120,6 @@ class EngineStats:
 
 
 # ----------------------------------------------------------------------
-# process-parallel trial execution (fork workers, module-level state)
-# ----------------------------------------------------------------------
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(
-    backend: SolverBackend,
-    graph: Graph,
-    query: QueryGraph,
-    plan: Optional[Plan],
-    num_colors: Optional[int],
-    trace_id: Optional[str] = None,
-) -> None:  # pragma: no cover
-    _WORKER_STATE.update(
-        backend=backend, graph=graph, query=query, plan=plan, num_colors=num_colors,
-    )
-    # re-establish the parent's trace ID across the fork boundary so any
-    # spans recorded in this worker join the same trace
-    if trace_id is not None:
-        obs.set_trace_id(trace_id)
-
-
-def _run_trial(colors: Sequence[int]) -> int:  # pragma: no cover - runs in subprocess
-    s = _WORKER_STATE
-    return s["backend"].count_colorful(
-        s["graph"], s["query"], colors, plan=s["plan"], num_colors=s["num_colors"],
-    )
-
-
-# ----------------------------------------------------------------------
 # engine lifecycle: every live engine is closed at interpreter exit, so
 # pooled shard workers (and their shared-memory segments) never outlive a
 # clean shutdown — long-lived holders like repro.service rely on this as
@@ -177,7 +145,7 @@ class CountingEngine:
         engine = CountingEngine(g)                      # defaults: DB, 10 trials
         result = engine.count(q, trials=5, seed=1)      # one query
         results = engine.count_many(queries, trials=5)  # plan cache shared
-        fast = engine.count(q, workers=4)               # process-parallel trials
+        fast = engine.count(q, workers=4)               # trials on 4 pooled processes
 
     Construction is cheap; all caches fill lazily.  ``config`` may be an
     :class:`EngineConfig` or keyword overrides (``CountingEngine(g,
@@ -317,13 +285,13 @@ class CountingEngine:
             return list(self._executor_cache.values())
 
     def close(self) -> None:
-        """Stop any live shard-worker pools.
+        """Stop any live worker pools.
 
         Idempotent and safe to call from teardown paths (``with`` exit,
         ``atexit``, signal handlers): repeated calls are no-ops, a
         failing pool never blocks the rest from closing, and the engine
-        stays usable — the next distributed request simply starts a
-        fresh pool.
+        stays usable — the next request with ``workers > 1`` (or
+        ``ps-dist``) simply starts a fresh pool.
         """
         with self._executor_lock:
             executors = list(self._executor_cache.values())
@@ -381,16 +349,10 @@ class CountingEngine:
             **self._distributed_extra(backend, self.config.workers),
         )
 
-    def _distributed_extra(self, backend: SolverBackend, workers: int) -> Dict[str, object]:
-        """Extra kwargs for a distributed backend: shard count, partition
-        strategy, and the engine's pooled executor (empty otherwise)."""
-        if not backend.distributed:
-            return {}
-        return dict(
-            workers=workers,
-            partition=self.config.partition_strategy,
-            executor=self.executor_for(workers),
-        )
+    def _distributed_extra(self, backend: CountingBackend, workers: int) -> Dict[str, object]:
+        """The engine's pooled executor for a distributed backend (no
+        extra kwargs otherwise)."""
+        return {"executor": self.executor_for(workers)} if backend.distributed else {}
 
     def count(
         self,
@@ -414,9 +376,10 @@ class CountingEngine:
         nor over ``max_trials``); ``on_progress``, if given, receives a
         JSON-safe refining-CI snapshot after every trial.
 
-        On platforms without ``fork`` the engine silently runs
-        ``workers > 1`` trials sequentially (check ``RunResult.workers``
-        for what actually ran).
+        ``workers > 1`` runs the trials on :meth:`executor_for`'s pool
+        (``RunResult.workers`` reports how many could run at once: never
+        more than the trial cap, and 1 for a single-trial run, which
+        stays in-process).
         """
         if isinstance(request, QueryGraph):
             request = CountRequest(query=request)
@@ -510,15 +473,9 @@ class CountingEngine:
             plan, plan_cached = self._plan_for(q)
 
         workers = r.workers if distributed else min(r.workers, cap)
-        try:
-            # worker state is inherited by forked processes; platforms
-            # without fork (Windows) fall back to sequential execution
-            fork = mp.get_context("fork")
-        except ValueError:
-            fork = None
-        parallel = not distributed and workers > 1 and cap >= 2 and fork is not None
-        if not parallel and not distributed:
-            workers = 1
+        # any other backend with room for 2+ trials runs whole trials on
+        # the same pool, one coloring per worker at a time
+        pool = self.executor_for(r.workers) if not distributed and workers > 1 else None
         extra = self._distributed_extra(backend, workers)
         # the streaming accumulator doubles as the CI provenance for
         # fixed runs and as the stopping rule for adaptive ones; the
@@ -529,7 +486,7 @@ class CountingEngine:
         counts: List[int] = []
         trial_times: List[float] = []
 
-        def in_process(batch: List[Sequence[int]]) -> Iterator[int]:
+        def in_process(batch: List[Sequence[int]]) -> Iterator[Tuple[int, float]]:
             for colors in batch:
                 t1 = time.perf_counter()
                 with obs.span("engine.trial", index=len(counts)):
@@ -537,8 +494,7 @@ class CountingEngine:
                         self.graph, q, colors, plan=plan,
                         num_colors=r.num_colors, **extra,
                     )
-                trial_times.append(time.perf_counter() - t1)
-                yield count
+                yield count, time.perf_counter() - t1
 
         stopped_early = False
         t0 = time.perf_counter()
@@ -548,34 +504,26 @@ class CountingEngine:
         # from one seeded stream, so the first t trials of any run are
         # bit-identical to a fixed t-trial run (the parity invariant)
         stream = coloring_stream(self.graph.n, kc, r.seed, strategy=r.coloring_strategy)
-        step = workers if parallel else 1
-        pool_cm = (
-            fork.Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(backend, self.graph, q, plan, r.num_colors, trace_id),
-            )
-            if parallel else contextlib.nullcontext()
-        )
-        with pool_cm as pool:
-            while len(counts) < cap:
-                want = min(spec.min_trials if not counts else step, cap - len(counts))
-                batch = list(itertools.islice(stream, want))
-                with obs.span("engine.batch", start=len(counts), size=want):
-                    results = (
-                        pool.imap(_run_trial, batch) if pool is not None
-                        else in_process(batch)
-                    )
-                    for c in results:
-                        acc.push(int(c))
-                        counts.append(int(c))
-                        if on_progress is not None:
-                            on_progress(_progress_snapshot(acc, spec))
-                # the stopping rule runs at batch ends only: that is what
-                # keeps trials_used independent of how results stream in
-                if spec.is_adaptive and acc.precision_met(spec.rel_error, spec.confidence):
-                    stopped_early = len(counts) < cap
-                    break
+        step = workers if pool is not None else 1
+        while len(counts) < cap:
+            want = min(spec.min_trials if not counts else step, cap - len(counts))
+            batch = list(itertools.islice(stream, want))
+            with obs.span("engine.batch", start=len(counts), size=want):
+                results = (
+                    pool.run_trials(backend, q, plan, batch, r.num_colors, start=len(counts))
+                    if pool is not None else in_process(batch)
+                )
+                for c, seconds in results:
+                    acc.push(int(c))
+                    counts.append(int(c))
+                    trial_times.append(seconds)
+                    if on_progress is not None:
+                        on_progress(_progress_snapshot(acc, spec))
+            # the stopping rule runs at batch ends only: that is what
+            # keeps trials_used independent of how results stream in
+            if spec.is_adaptive and acc.precision_met(spec.rel_error, spec.confidence):
+                stopped_early = len(counts) < cap
+                break
         wall = time.perf_counter() - t0
 
         hw = acc.relative_halfwidth(spec.confidence)
@@ -600,8 +548,7 @@ class CountingEngine:
             workers=workers,
             plan=plan,
             plan_cached=plan_cached,
-            # per-trial seconds are only measurable in-process
-            trial_times=None if parallel else trial_times,
+            trial_times=trial_times,
             wall_clock=wall,
             trials_used=trials_used,
             stopped_early=stopped_early,

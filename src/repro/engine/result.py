@@ -46,8 +46,9 @@ class RunResult(EstimateResult):
     Inherits the statistical surface of :class:`EstimateResult`
     (``estimate``, ``colorful_mean``, ``relative_std``,
     ``coefficient_of_variation``, ``estimated_subgraphs``); adds the
-    execution record.  ``trial_times`` is ``None`` for process-parallel
-    runs, where per-trial wall clocks are not individually meaningful.
+    execution record.  ``trial_times`` holds one wall-clock time per
+    trial, measured in the process that ran it; it is ``None`` only on
+    results the engine did not produce (such as older wire documents).
     """
 
     method: str = ""

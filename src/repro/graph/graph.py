@@ -180,17 +180,30 @@ class Graph:
             raise ValueError("CSR is not a valid simple undirected adjacency")
         return g
 
+    @classmethod
+    def wrap_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray,
+        labels: Optional[np.ndarray] = None, name: str = "",
+    ) -> "Graph":
+        """A graph over CSR (and label) arrays that came out of a
+        :class:`Graph` — no validation, no copy; untrusted input goes
+        through :meth:`from_csr`."""
+        g = object.__new__(cls)
+        g.n, g.m, g.name = len(indptr) - 1, len(indices) // 2, name
+        g.indptr, g.indices, g.degrees = indptr, indices, np.diff(indptr)
+        g.labels, g._order_rank = labels, None
+        return g
+
     def with_labels(self, labels: Optional[Iterable[int]]) -> "Graph":
         """A copy of this graph carrying ``labels`` (``None`` clears them).
 
         The CSR arrays (and the cached degree order) are shared with the
         original — labels never force an adjacency rebuild.
         """
-        g = object.__new__(Graph)
-        g.n, g.m, g.name = self.n, self.m, self.name
-        g.indptr, g.indices, g.degrees = self.indptr, self.indices, self.degrees
+        g = Graph.wrap_csr(
+            self.indptr, self.indices, self._validate_labels(self.n, labels), self.name
+        )
         g._order_rank = self._order_rank
-        g.labels = self._validate_labels(self.n, labels)
         return g
 
     @property

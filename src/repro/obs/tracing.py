@@ -7,12 +7,12 @@ The API is built for a hot path that is *usually off*:
   collected in this process.  The common case costs two module-global
   reads — cheap enough to leave in the vectorized DP sweep.
 * Trace **IDs** ride a :mod:`contextvars` variable so they survive
-  thread hops inside a process; crossing a ``fork`` boundary (trial
-  pools, shard workers) they are re-established explicitly from pool
-  initargs / pipe messages.
+  thread hops inside a process; crossing into the pooled executor's
+  worker processes they are re-established explicitly from pipe
+  messages.
 * Timestamps are ``time.perf_counter()`` (RP001-clean).  On Linux
   ``perf_counter`` is ``CLOCK_MONOTONIC``, which is shared across
-  forked processes, so shard-worker span timestamps line up with the
+  forked processes, so pool-worker span timestamps line up with the
   master's on the same timeline.
 
 Export is the Chrome trace-event JSON format (``chrome://tracing`` /

@@ -47,6 +47,7 @@ __all__ = [
     "labeled_queries",
     "resolve_query_name",
     "coerce_node_labels",
+    "whole_number",
     "MAX_NODE_LABEL",
     "with_random_labels",
 ]
@@ -316,16 +317,24 @@ def resolve_query_name(name: str) -> QueryGraph:
 MAX_NODE_LABEL = 2**31 - 1
 
 
+def whole_number(value: object, what: str) -> int:
+    """``value`` as an int under the one integer rule of the wire: ints,
+    whole floats (``2.0``) and int strings (``"2"``) pass; bools (JSON
+    ``true`` is not 1) and everything else raise ``ValueError``."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return int(value)  # type: ignore[call-overload]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what}: need int (a whole number), got {value!r}")
+
+
 def _coerce_one_label(node: object, value: object, max_label: int) -> int:
     """One external label value → bounded non-negative int."""
-    if isinstance(value, bool):
-        raise ValueError(f"bad label for node {node!r}: {value!r} (need int)")
-    try:
-        lab = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"bad label for node {node!r}: {value!r} (need int)") from None
-    if isinstance(value, float) and value != lab:
-        raise ValueError(f"bad label for node {node!r}: {value!r} (need int)")
+    lab = whole_number(value, f"bad label for node {node!r}")
     if not 0 <= lab <= max_label:
         raise ValueError(f"label for node {node!r} must be in [0, {max_label}]")
     return lab

@@ -3,7 +3,7 @@
 This package turns the one-shot counting library into a long-lived
 deployable system.  A :class:`CountingService` owns named, pre-converted
 datasets (each with a warm :class:`~repro.engine.CountingEngine` whose
-plan caches and ``ps-dist`` shard pools persist across requests), runs
+plan caches and worker pools persist across requests), runs
 every execution through a bounded :class:`~repro.service.jobs.JobQueue`
 (worker threads + 429 admission control), and serves repeats from a
 fingerprint-keyed :class:`~repro.service.cache.ResultCache` in

@@ -1,17 +1,17 @@
 """Named dataset registry: pre-converted graphs + warm counting engines.
 
-Loading a graph, converting it to CSR and (for distributed methods)
-spinning up a shard-worker pool are the expensive one-time costs the
-service amortizes.  The registry does all of it **once per dataset**:
+Loading a graph, converting it to CSR and (for ``workers > 1`` or
+``ps-dist``) spinning up a worker pool are the expensive one-time costs
+the service amortizes.  The registry does all of it **once per dataset**:
 
 * builtin Table 1 stand-ins load by name (``"condmat"``);
 * files load from edge-list or JSON paths, optionally aliased
   (``"web=/data/web.edges"``);
 * every dataset gets one long-lived :class:`CountingEngine` sharing the
   service's :class:`EngineConfig` — its plan cache, partition cache and
-  pooled ``ps-dist`` executors persist across requests;
-* ``warm()`` pre-touches the CSR form and, when the config asks for a
-  distributed method, starts the shard pool before traffic arrives.
+  pooled executors persist across requests;
+* ``warm()`` pre-touches the CSR form and, when the config's requests
+  will run on a worker pool, starts it before traffic arrives.
 """
 
 from __future__ import annotations
@@ -124,14 +124,16 @@ class DatasetRegistry:
     def warm(self, name: str) -> None:
         """Pre-build the expensive per-dataset artifacts before traffic.
 
-        Touches the CSR conversion cache and — when the service config
-        runs the distributed backend (``method="ps-dist"``) — starts the
-        shard-worker pool so the first request pays none of the startup.
+        Touches the CSR conversion cache and — when requests will run on
+        the worker pool (``workers > 1``, or ``method="ps-dist"``, whose
+        shards use it even at one worker) — starts that pool so the
+        first request pays none of the startup.
         """
         entry = self.get(name)
         entry.graph.to_csr()
-        if self.config.method == DIST_METHOD and self.config.workers >= 1:
-            entry.engine.executor_for(max(self.config.workers, 1))
+        workers = self.config.workers
+        if workers > 1 or (workers == 1 and self.config.method == DIST_METHOD):
+            entry.engine.executor_for(workers)
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> DatasetEntry:

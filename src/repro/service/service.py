@@ -29,7 +29,9 @@ from ..counting.colorings import COLORING_STRATEGIES
 from ..engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from ..engine.backends import DEFAULT_REGISTRY
 from ..engine.fingerprint import request_fingerprint
-from ..query.library import MAX_NODE_LABEL, coerce_node_labels, resolve_query_name
+from ..query.library import (
+    MAX_NODE_LABEL, coerce_node_labels, resolve_query_name, whole_number,
+)
 from ..query.query import QueryGraph
 from .cache import ResultCache
 from .jobs import Job, JobQueue, ServiceSaturated, UnknownJobError
@@ -167,7 +169,8 @@ class CountingService:
         """Validate wire params and build the resolved :class:`CountRequest`.
 
         Coerces JSON value types (``"2"``/``2.0`` → ``2``, so equivalent
-        spellings share a fingerprint) and rejects unknown fields,
+        spellings share a fingerprint; ``true`` is not an integer, see
+        :func:`~repro.query.library.whole_number`) and rejects unknown fields,
         unknown methods and coloring strategies, ``seed < 0``,
         ``trials < 1``, ``num_colors < k``, malformed ``precision``
         documents and malformed label specs eagerly, so a queued job can
@@ -200,16 +203,13 @@ class CountingService:
             value = params.get(field)
             if value is None:
                 continue
-            coerce = str if field in ("method", "coloring_strategy") else int
+            if field in ("method", "coloring_strategy"):
+                kwargs[field] = str(value)
+                continue
             try:
-                coerced = coerce(value)
-            except (TypeError, ValueError, OverflowError):
-                raise BadRequestError(
-                    f"bad value for {field!r}: {value!r} (need {coerce.__name__})"
-                ) from None
-            if coerce is int and isinstance(value, float) and value != coerced:
-                raise BadRequestError(f"bad value for {field!r}: {value!r} (need int)")
-            kwargs[field] = coerced
+                kwargs[field] = whole_number(value, f"bad value for {field!r}")
+            except ValueError as exc:
+                raise BadRequestError(str(exc)) from None
         try:
             request = CountRequest(query=query, **kwargs).resolved(self.config)
         except TypeError as exc:

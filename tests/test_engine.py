@@ -194,14 +194,20 @@ class TestCountMany:
 
 class TestWorkersAndContexts:
     def test_workers_bit_identical(self, graph):
-        engine = CountingEngine(graph)
-        q = paper_query("glet1")
-        seq = engine.count(q, trials=4, seed=3)
-        par = engine.count(q, trials=4, seed=3, workers=2)
-        assert par.colorful_counts == seq.colorful_counts
-        assert par.estimate == seq.estimate
-        assert par.workers == 2 and par.trial_times is None
-        assert seq.workers == 1 and len(seq.trial_times) == 4
+        """Whole trials on the pool equal the sequential run, and are
+        timed one by one, for dict, vectorized and treelet kernels."""
+        with CountingEngine(graph) as engine:
+            for method, q in (
+                ("db", paper_query("glet1")),
+                ("ps-vec", paper_query("glet1")),
+                ("treelet", path_query(4)),
+            ):
+                seq = engine.count(q, trials=4, seed=3, method=method)
+                par = engine.count(q, trials=4, seed=3, method=method, workers=2)
+                assert par.colorful_counts == seq.colorful_counts, method
+                assert par.estimate == seq.estimate, method
+                assert par.workers == 2 and len(par.trial_times) == par.trials_used == 4
+                assert seq.workers == 1 and len(seq.trial_times) == 4
 
     def test_parallel_fixed_run_reports_every_trial(self, graph):
         snapshots = []

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bench import dataset
-from repro.counting.colorings import uniform_coloring
+from repro.counting.colorings import coloring_batch, uniform_coloring
 from repro.counting.vectorized import count_colorful_ps_vec
 from repro.decomposition import heuristic_plan
-from repro.distributed import (
-    ShardedExecutor,
-    WallStats,
-    count_colorful_ps_dist,
-    run_distributed,
-)
+from repro.distributed import ShardedExecutor, WallStats, run_distributed
 from repro.engine import CountingEngine, DIST_AUTO_MIN_SIZE, get_backend
 from repro.graph import Graph
 from repro.query import cycle_query, paper_queries, paper_query
@@ -74,18 +69,15 @@ class TestShardedParity:
         ref = count_colorful_ps_vec(data_graph, q, colors, plan=plan, num_colors=kc)
         assert executor.count(plan, colors, num_colors=kc).count == ref
 
-    def test_convenience_function_transient_pool(self, data_graph):
-        q = paper_query("glet2")
-        colors = uniform_coloring(data_graph.n, q.k, np.random.default_rng(5))
-        ref = count_colorful_ps_vec(data_graph, q, colors)
-        assert count_colorful_ps_dist(data_graph, q, colors, workers=2) == ref
-
-    def test_convenience_function_rejects_foreign_executor(self, data_graph, executor):
+    def test_backend_rejects_foreign_executor(self, data_graph, executor):
         other = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="C4")
         q = paper_query("glet1")
         colors = uniform_coloring(other.n, q.k, np.random.default_rng(12))
+        backend = get_backend("ps-dist")
         with pytest.raises(ValueError, match="different data graph"):
-            count_colorful_ps_dist(other, q, colors, executor=executor)
+            backend.count_colorful(other, q, colors, executor=executor)
+        with pytest.raises(ValueError, match="live executor"):
+            backend.count_colorful(other, q, colors)
 
 
 class TestExecutorLifecycle:
@@ -128,6 +120,59 @@ class TestExecutorLifecycle:
     def test_unknown_strategy_rejected_eagerly(self, data_graph):
         with pytest.raises(ValueError, match="unknown partition"):
             ShardedExecutor(data_graph, workers=2, strategy="zigzag")
+
+
+class TestWholeTrials:
+    """``run_trials``: each pooled worker counts whole colorings."""
+
+    def test_counts_match_in_process_in_trial_order(self, data_graph, executor):
+        q = paper_query("youtube")
+        plan = heuristic_plan(q)
+        colorings = coloring_batch(data_graph.n, q.k, 5, seed=11)
+        got = executor.run_trials(get_backend("ps-vec"), q, plan, colorings)
+        ref = [count_colorful_ps_vec(data_graph, q, c, plan=plan) for c in colorings]
+        assert [count for count, _ in got] == ref
+        assert all(seconds > 0 for _, seconds in got)
+
+    def test_invalid_colors_raise_and_pool_survives(self, data_graph, executor):
+        q = paper_query("glet1")
+        plan = heuristic_plan(q)
+        backend = get_backend("ps-vec")
+        good = uniform_coloring(data_graph.n, q.k, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="colors must lie"):
+            executor.run_trials(backend, q, plan, [good, np.full(data_graph.n, 99)])
+        with pytest.raises(ValueError, match="every data vertex"):
+            executor.run_trials(backend, q, plan, [np.zeros(3, dtype=np.int64)])
+        # a trial that fails inside a worker is raised once the other
+        # worker has answered, so the pipes stay in step
+        with pytest.raises(ValueError, match="does not support"):
+            executor.run_trials(get_backend("treelet"), cycle_query(4), None, [good] * 3)
+        ref = count_colorful_ps_vec(data_graph, q, good, plan=plan)
+        got = executor.run_trials(backend, q, plan, [good, good])
+        assert [count for count, _ in got] == [ref, ref]
+
+    def test_worker_crash_closes_pool_and_engine_recovers(self, data_graph):
+        q = paper_query("glet1")
+        with CountingEngine(data_graph, workers=2) as engine:
+            ref = engine.count(q, trials=4, seed=0, method="ps-vec")
+            crashed = engine.executor_for(2)
+            crashed._procs[0].terminate()
+            crashed._procs[0].join()
+            with pytest.raises(RuntimeError, match="died"):
+                engine.count(q, trials=4, seed=0, method="ps-vec")
+            assert crashed.closed
+            again = engine.count(q, trials=4, seed=0, method="ps-vec")
+            assert engine.executor_for(2) is not crashed
+            assert again.colorful_counts == ref.colorful_counts
+
+    def test_engine_shares_one_pool_with_ps_dist(self, data_graph):
+        q = paper_query("glet1")
+        with CountingEngine(data_graph, workers=2) as engine:
+            pool = engine.executor_for(2)
+            for method in ("ps-dist", "db", "ps-vec"):
+                engine.count(q, trials=4, seed=0, method=method)
+            assert engine.executors() == [pool]
+            assert pool.describe()["runs"] == 12  # 4 sharded + 8 whole trials
 
 
 class TestMeasuredStats:

@@ -302,6 +302,23 @@ class TestTracing:
             superstep["args"]
         )
 
+    def test_pooled_trial_spans_join_the_master_trace(self):
+        """``workers=2`` trials run in two pool workers and ship their
+        ``engine.trial`` spans back under the request's trace ID."""
+        import os
+
+        g = erdos_renyi(60, 0.12, np.random.default_rng(21), name="er60")
+        q = paper_query("glet1")
+        with obs.collect() as trace:
+            with CountingEngine(g) as engine:
+                result = engine.count(q, trials=4, seed=0, method="ps-vec", workers=2)
+        trials = [e for e in trace.events() if e["name"] == "engine.trial"]
+        pids = {e["pid"] for e in trials}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert sorted(e["args"]["index"] for e in trials) == [0, 1, 2, 3]
+        assert {e["trace_id"] for e in trace.events()} == {trace.trace_id}
+        assert result.trace_id == trace.trace_id
+
     def test_chrome_document_schema(self, tmp_path):
         with obs.collect() as trace:
             with obs.span("unit", detail=np.int64(3)):  # numpy coerced

@@ -111,6 +111,9 @@ class TestPrecisionSpec:
         for name in ("min_trials", "max_trials"):
             with pytest.raises(ValueError, match="whole number"):
                 PrecisionSpec.coerce({"rel_error": 0.1, name: 2.5})
+        # JSON true is not the integer 1
+        with pytest.raises(ValueError, match="whole number"):
+            PrecisionSpec.coerce({"min_trials": True})
 
     def test_coerce_mapping_rel_only_keeps_defaults(self):
         spec = PrecisionSpec.coerce({"rel_error": 0.05})

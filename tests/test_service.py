@@ -118,8 +118,13 @@ class TestDatasetRegistry:
         with pytest.raises(UnknownDatasetError, match="nope"):
             reg.get("nope")
 
-    def test_warm_builds_dist_pool(self):
-        reg = DatasetRegistry(EngineConfig(method="ps-dist", workers=2))
+    @pytest.mark.parametrize(
+        "config",
+        [EngineConfig(method="ps-dist", workers=2), EngineConfig(workers=2)],
+        ids=["ps-dist", "trial-pool"],
+    )
+    def test_warm_builds_dist_pool(self, config):
+        reg = DatasetRegistry(config)
         reg.add("tiny", small_graph())
         reg.warm("tiny")
         engine = reg.get("tiny").engine

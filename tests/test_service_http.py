@@ -97,6 +97,11 @@ class TestEndpoints:
             # precision values the top-level fields already reject
             (dict(dataset="er60", query="glet1", precision={"rel_error": "nan"}), 400),
             (dict(dataset="er60", query="glet1", precision={"min_trials": 2.5}), 400),
+            # JSON true is not the integer 1
+            (dict(dataset="er60", query="glet1", trials=True), 400),
+            (dict(dataset="er60", query="glet1", seed=True), 400),
+            (dict(dataset="er60", query="glet1",
+                  precision={"min_trials": True, "max_trials": True}), 400),
             # sync deadlines outside (0, threading.TIMEOUT_MAX]
             (dict(dataset="er60", query="glet1", timeout="inf"), 400),
             (dict(dataset="er60", query="glet1", timeout=1e20), 400),
