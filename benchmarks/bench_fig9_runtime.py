@@ -18,8 +18,9 @@ import time
 
 import numpy as np
 
-from repro import obs
-from repro.bench import OBS_OVERHEAD_LIMIT, bench_record, dataset, geometric_mean
+from repro.bench import (
+    OBS_OVERHEAD_LIMIT, bench_record, dataset, geometric_mean, time_obs_overhead,
+)
 from repro.engine import CountingEngine
 from repro.query import paper_query
 
@@ -208,21 +209,9 @@ def test_fig9_vectorized_speedup(benchmark):
     oplan = bench_plan("wiki")
     ocolors = coloring_for("enron", "wiki")
 
-    def _best_vec(reps=5):
-        best, count = np.inf, None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            count = count_colorful(og, oq, ocolors, method="ps-vec", plan=oplan)
-            best = min(best, time.perf_counter() - t0)
-        return best, count
-
-    on_best, on_count = _best_vec()
-    obs.disable()
-    try:
-        off_best, off_count = _best_vec()
-    finally:
-        obs.enable()
-    assert on_count == off_count
+    on_best, off_best, off_count = time_obs_overhead(
+        lambda: count_colorful(og, oq, ocolors, method="ps-vec", plan=oplan)
+    )
     obs_overhead = on_best / off_best
     records.append(
         bench_record("fig9_runtime", "enron", "wiki", "ps-vec@obs-off",

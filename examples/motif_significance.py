@@ -7,7 +7,8 @@ compared to degree-matched random graphs.  This example runs the full
 workflow on two structurally different networks:
 
 1. enumerate every 4-node treewidth-2 motif;
-2. estimate each motif's count with the DB color-coding counter;
+2. estimate each motif's count with the color-coding counter (the
+   default ``auto`` runs the vectorized sweep, bit-identical to DB);
 3. build a degree-preserving null ensemble (double edge swaps);
 4. report z-scores and the normalised significance profile.
 

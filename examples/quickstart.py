@@ -35,7 +35,7 @@ def main() -> None:
         chung_lu_power_law(300, alpha=1.7, rng=rng, name="demo-social")
     )
     print("data graph:", graph_summary(g))
-    engine = CountingEngine(g)  # defaults: DB kernel, 10 trials
+    engine = CountingEngine(g)  # defaults: method="auto" (the ps-vec sweep), 10 trials
 
     # 2. Single query: the 4-cycle graphlet (Figure 8's glet1).
     q = paper_query("glet1")

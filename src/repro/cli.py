@@ -157,7 +157,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                     num_colors=args.num_colors,
                     workers=args.workers,
                 )
-    except (KeyError, OSError, ValueError) as exc:
+    except (KeyError, OSError, OverflowError, ValueError) as exc:
         return _cli_error(exc)
     palette = f", num_colors={result.num_colors}" if result.num_colors != q.k else ""
     workers = f", workers={result.workers}" if result.workers > 1 else ""
@@ -281,7 +281,10 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="result-cache entries, 0 disables (default: %(default)s)")
     parser.add_argument(
         "--method", choices=tuple(available_backends()) + ("auto",), default="db",
-        help="default counting backend for requests that omit one (default: %(default)s)",
+        help="default counting backend for requests that omit one; db, "
+        "not the engine's auto, because finished jobs stay cached and each "
+        "job thread would hold a vectorized sweep's working set, which "
+        "raises the server's peak memory (default: %(default)s)",
     )
     parser.add_argument("--trials", type=int, default=10,
                         help="default trials per request (default: %(default)s)")
@@ -340,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method",
         choices=tuple(available_backends()) + ("auto",),
-        default="db",
-        help="counting backend; 'auto' picks per query (default: db)",
+        default="auto",
+        help="counting backend; 'auto' runs the vectorized ps-vec sweep "
+        "unless a tree could overflow its int64 counts (then the exact "
+        "treelet DP) or --workers > 1 meets a huge input (then ps-dist) "
+        "(default: %(default)s)",
     )
     p_count.add_argument("--trials", type=int, default=5,
                          help="fixed trial count (ignored when --rel-error / "

@@ -28,7 +28,9 @@ bits), and every aggregation/total is preceded by a float64 whole-table
 sum check against ``2^62``.  Within those bounds the results are
 **bit-identical** to ``method="ps"`` on the same plan and coloring —
 asserted across the whole query library by the parity tests and the
-differential matrix.
+differential matrix.  For tree queries :func:`tree_fits_int64` decides
+from the maximum degree alone that no guard can trip; ``method="auto"``
+sends the trees that fail it to the exact treelet DP instead.
 
 Only the PS splitting strategy is vectorized: PS never records interior
 boundary nodes, so its tables stay rectangular ``(u, v, sig)`` arrays.
@@ -61,12 +63,17 @@ __all__ = [
     "solve_plan_vectorized",
     "count_colorful_ps_vec",
     "MAX_COLORS_VEC",
+    "tree_fits_int64",
 ]
 
 Node = Hashable
 
 #: signatures are bit sets inside one int64 ⇒ at most 62 colors
 MAX_COLORS_VEC = 62
+
+#: per-entry counts entering a product join must stay below this, so
+#: every pairwise product fits in 62 bits
+_ENTRY_LIMIT = 1 << 31
 
 #: any table whose total count stays below this cannot wrap an int64
 #: segment sum; measured in float64 so the check itself cannot overflow
@@ -142,11 +149,27 @@ def _check_counts(cnt: np.ndarray) -> None:
     Counts are non-negative by construction (tables seed at 1 and only
     sum/multiply under these guards), so the max bounds the magnitude.
     """
-    if len(cnt) and int(np.max(cnt)) >= 1 << 31:
+    if len(cnt) and int(np.max(cnt)) >= _ENTRY_LIMIT:
         raise OverflowError(
             "ps-vec count tables exceeded 2^31 per entry; rerun with the "
             "arbitrary-precision 'ps' backend"
         )
+
+
+def tree_fits_int64(g: Graph, k: int) -> bool:
+    """Whether no guard above can trip on any ``k``-node tree query in ``g``.
+
+    With ``Δ`` the maximum degree, a table entry counts colorful
+    embeddings of a connected sub-query with one image fixed, so it is at
+    most ``Δ^(k-1)``; a row sum before aggregation counts embeddings of a
+    connected sub-query, so it is at most ``n·Δ^(k-1)``.  Both are
+    checked in Python ints against the guards' own limits.  The argument
+    holds for any connected query; ``method="auto"`` applies it to trees
+    only, the one shape with an exact fallback (the treelet DP) fast
+    enough to route to.
+    """
+    walks = g.max_degree() ** (k - 1)
+    return walks < _ENTRY_LIMIT and g.n * walks <= _SUM_LIMIT
 
 
 def _checked_total(cnt: np.ndarray) -> int:

@@ -7,7 +7,7 @@ funnels every query through one coherent API::
 
     from repro.engine import CountingEngine
 
-    engine = CountingEngine(g)                       # DB kernel defaults
+    engine = CountingEngine(g)                       # method="auto"
     result = engine.count(q, trials=5, seed=1)       # RunResult
     batch  = engine.count_many(queries, trials=5)    # shared plan cache
     fast   = engine.count(q, workers=4)              # trials on 4 pooled processes
@@ -22,7 +22,7 @@ Pieces:
   optional :class:`LoadStats`);
 * :class:`BackendRegistry` — the kernels behind one protocol (``ps``,
   ``db``, ``ps-even``, ``ps-vec``, ``ps-dist``, ``treelet``,
-  ``bruteforce``; ``method="auto"`` picks per query and input size).
+  ``bruteforce``; ``method="auto"``, the default, picks per request).
 """
 
 from .backends import (
@@ -32,7 +32,6 @@ from .backends import (
     DEFAULT_REGISTRY,
     DIST_AUTO_MIN_SIZE,
     DIST_METHOD,
-    VEC_AUTO_MIN_SIZE,
     available_backends,
     get_backend,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "available_backends",
     "DEFAULT_REGISTRY",
     "AUTO",
-    "VEC_AUTO_MIN_SIZE",
     "DIST_AUTO_MIN_SIZE",
     "DIST_METHOD",
 ]

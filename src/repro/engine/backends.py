@@ -12,9 +12,10 @@ support?).
 
 Backends live in a :class:`BackendRegistry`; a new kernel subclasses
 :class:`CountingBackend` and is added with
-:meth:`BackendRegistry.register`.  ``method="auto"`` asks the registry
-to pick per query: the treelet DP for acyclic queries under the
-paper's ``num_colors == k`` palette, DB everywhere else.
+:meth:`BackendRegistry.register`.  ``method="auto"`` (the engine's
+default) asks the registry to pick per request: the vectorized sweep
+wherever it is known to be safe and fast, the exact treelet DP for the
+trees whose counts could overflow it, and DB for simulated-rank runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..query.treewidth import is_tree
 from ..counting.bruteforce import count_colorful_matches
 from ..counting.solver import METHODS, VEC_METHOD, solve_plan
 from ..counting.treelet import count_colorful_treelet
-from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized
+from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized, tree_fits_int64
 
 __all__ = [
     "CountingBackend",
@@ -42,18 +43,12 @@ __all__ = [
     "available_backends",
     "DEFAULT_REGISTRY",
     "AUTO",
-    "VEC_AUTO_MIN_SIZE",
     "DIST_AUTO_MIN_SIZE",
     "DIST_METHOD",
 ]
 
 #: sentinel method name resolved per query by the registry
 AUTO = "auto"
-
-#: ``method="auto"`` switches from the dict kernels to the vectorized PS
-#: backend once ``n + m`` reaches this size — below it, per-call numpy
-#: overhead can exceed the interpreter cost the vectorization removes
-VEC_AUTO_MIN_SIZE = 2000
 
 #: ``method="auto"`` escalates from ``ps-vec`` to the sharded multiprocess
 #: executor on very large inputs (``n + m`` at least this size) when the
@@ -322,41 +317,23 @@ class BackendRegistry:
         """Pick the backend for ``method`` (handling ``"auto"``) and
         verify it supports the query/palette/tracking combination.
 
-        ``auto`` picks per query (and, when ``graph`` is given, per input
-        size): the treelet DP for acyclic queries under the paper's
-        palette, the sharded multiprocess executor for very large inputs
-        when ``workers > 1`` was requested, the vectorized PS kernels for
-        large inputs, DB otherwise.
+        ``auto`` takes the first that applies:
+
+        * a ``ctx`` asking for simulated-rank load → DB;
+        * a tree the treelet DP supports, when ``graph`` is unknown or
+          fails :func:`~repro.counting.vectorized.tree_fits_int64` →
+          the treelet DP (exact, Python ints);
+        * ``workers > 1`` on an input with ``n + m`` at least
+          :data:`DIST_AUTO_MIN_SIZE` → the sharded ``ps-dist``;
+        * a palette that fits one signature word → ``ps-vec``;
+        * otherwise DB.
+
+        Cyclic queries reach the sweep with no bound: there is no fast
+        exact fallback for them, and an overflow fails loudly with
+        ``OverflowError``.
         """
         if method == AUTO:
-            treelet = self._backends.get("treelet")
-            vec = self._backends.get(VEC_METHOD)
-            dist = self._backends.get(DIST_METHOD)
-            if (
-                not need_load_tracking
-                and treelet is not None
-                and treelet.supports(query, num_colors)
-            ):
-                backend = treelet
-            elif (
-                not need_load_tracking
-                and workers > 1
-                and dist is not None
-                and dist.supports(query, num_colors)
-                and graph is not None
-                and graph.n + graph.m >= DIST_AUTO_MIN_SIZE
-            ):
-                backend = dist
-            elif (
-                not need_load_tracking
-                and vec is not None
-                and vec.supports(query, num_colors)
-                and graph is not None
-                and graph.n + graph.m >= VEC_AUTO_MIN_SIZE
-            ):
-                backend = vec
-            else:
-                backend = self.get("db")
+            backend = self._auto(query, num_colors, need_load_tracking, graph, workers)
         else:
             backend = self.get(method)
         backend.check(query, num_colors)
@@ -366,6 +343,37 @@ class BackendRegistry:
                 "simulated ranks; use 'ps', 'db' or 'ps-even' with a ctx"
             )
         return backend
+
+    def _auto(
+        self,
+        query: QueryGraph,
+        num_colors: Optional[int],
+        need_load_tracking: bool,
+        graph: Optional[Graph],
+        workers: int,
+    ) -> CountingBackend:
+        if need_load_tracking:
+            return self.get("db")
+        treelet = self._backends.get("treelet")
+        if (
+            treelet is not None
+            and treelet.supports(query, num_colors)
+            and (graph is None or not tree_fits_int64(graph, query.k))
+        ):
+            return treelet
+        dist = self._backends.get(DIST_METHOD)
+        if (
+            workers > 1
+            and dist is not None
+            and dist.supports(query, num_colors)
+            and graph is not None
+            and graph.n + graph.m >= DIST_AUTO_MIN_SIZE
+        ):
+            return dist
+        vec = self._backends.get(VEC_METHOD)
+        if vec is not None and vec.supports(query, num_colors):
+            return vec
+        return self.get("db")
 
 
 def _make_default_registry() -> BackendRegistry:

@@ -4,7 +4,8 @@ An engine is bound to one data graph and owns the cross-query state the
 legacy free functions recomputed on every call:
 
 * a **plan cache** — the Section 6 planner runs exactly once per
-  distinct query structure, however many trials/requests reuse it;
+  distinct query structure, however many trials/requests reuse it, and
+  live engines share one plan object per query;
 * a **partition cache** — simulated-rank partitions are built once per
   ``(nranks, strategy)`` pair;
 * dispatch through the shared **backend registry** — every kernel (PS,
@@ -96,8 +97,10 @@ def _progress_snapshot(
 class EngineStats:
     """Cache/work counters for one engine (observability + tests).
 
-    ``plan_builds`` counts actual planner invocations; the batch-vs-loop
-    parity tests assert it stays at one per distinct query.
+    ``plan_builds`` counts this engine's plan-cache misses; the
+    batch-vs-loop parity tests assert it stays at one per distinct
+    query.  A miss runs the planner only when no live engine holds a
+    plan for an equal query (see :func:`_shared_plan`).
     """
 
     plan_builds: int = 0
@@ -117,6 +120,33 @@ class EngineStats:
             "requests": self.requests,
             "trials": self.trials,
         }
+
+
+# ----------------------------------------------------------------------
+# plans shared across engines: every live engine gets the same Plan
+# object for equal queries, so a process that keeps many engines (one
+# per graph) holds one copy of each plan.  Values are weak, so an entry
+# dies with the last engine or result holding its plan: no size bound.
+# ----------------------------------------------------------------------
+_SHARED_PLANS: "weakref.WeakValueDictionary[QueryGraph, Plan]" = (
+    weakref.WeakValueDictionary()
+)
+_SHARED_PLANS_LOCK = threading.Lock()
+
+
+def _shared_plan(query: QueryGraph) -> Plan:
+    """The plan a live engine holds for an equal query, else a new one.
+
+    The planner runs outside the lock, so a slow planner run never
+    stalls other queries; on a lost race the winner's plan is used.
+    """
+    with _SHARED_PLANS_LOCK:
+        plan = _SHARED_PLANS.get(query)
+    if plan is not None:
+        return plan
+    built = heuristic_plan(query)
+    with _SHARED_PLANS_LOCK:
+        return _SHARED_PLANS.setdefault(query, built)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +172,7 @@ class CountingEngine:
 
     Typical use::
 
-        engine = CountingEngine(g)                      # defaults: DB, 10 trials
+        engine = CountingEngine(g)                      # defaults: auto, 10 trials
         result = engine.count(q, trials=5, seed=1)      # one query
         results = engine.count_many(queries, trials=5)  # plan cache shared
         fast = engine.count(q, workers=4)               # trials on 4 pooled processes
@@ -198,10 +228,10 @@ class CountingEngine:
         if plan is not None:
             obs_catalogue.engine_plan_cache().inc(result="hit")
             return plan, True
-        # build outside the lock so a slow planner run never stalls
+        # fetch outside the lock so a slow planner run never stalls
         # other queries' cache hits; on a lost race the winner's plan is
         # used and only the insert counts as a build (exact counters)
-        built = heuristic_plan(query)
+        built = _shared_plan(query)
         with self._cache_lock:
             plan = self._plan_cache.get(query)
             if plan is not None:

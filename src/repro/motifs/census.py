@@ -81,7 +81,7 @@ def motif_census(
     k: int = 4,
     trials: int = 5,
     seed: int = 0,
-    method: str = "db",
+    method: str = "auto",
     num_colors: Optional[int] = None,
     engine: Optional[CountingEngine] = None,
 ) -> List[CensusEntry]:
@@ -92,7 +92,9 @@ def motif_census(
     decomposition plan is built once and reused across trials — pass a
     shared ``engine`` (bound to the same ``g``) to also reuse plans
     across repeated censuses of one graph, e.g. sweeping trial counts
-    or palettes.
+    or palettes.  The default ``method="auto"`` runs the vectorized
+    sweep, bit-identical to ``method="db"`` and several times faster on
+    5-node motifs.
     """
     motifs = list(motifs) if motifs is not None else all_tw2_motifs(k)
     if engine is not None and engine.graph is not g:

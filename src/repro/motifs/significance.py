@@ -51,14 +51,16 @@ def motif_significance(
     null_samples: int = 5,
     trials: int = 4,
     seed: int = 0,
-    method: str = "db",
+    method: str = "auto",
 ) -> List[MotifSignificance]:
     """Z-scores of each motif's estimated count against the null ensemble.
 
     Both the observed network and every null sample are counted with the
     same color-coding estimator (one engine per graph, same trial
     budget), so estimator noise affects numerator and denominator
-    symmetrically.
+    symmetrically.  The default ``method="auto"`` runs the vectorized
+    sweep, bit-identical to ``method="db"``; the engines share each
+    motif's plan.
     """
     rng = np.random.default_rng(seed)
     nulls = null_ensemble(g, null_samples, rng)

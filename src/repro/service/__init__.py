@@ -26,6 +26,7 @@ from .jobs import Job, JobQueue, ServiceSaturated, UnknownJobError
 from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
 from .service import (
     BadRequestError,
+    CountOverflowError,
     CountingService,
     ServiceTimeout,
     UnknownQueryError,
@@ -41,6 +42,7 @@ __all__ = [
     "ServiceSaturated",
     "ServiceTimeout",
     "BadRequestError",
+    "CountOverflowError",
     "UnknownDatasetError",
     "UnknownQueryError",
     "UnknownJobError",

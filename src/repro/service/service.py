@@ -40,6 +40,7 @@ from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
 __all__ = [
     "CountingService",
     "BadRequestError",
+    "CountOverflowError",
     "ServiceTimeout",
     "ServiceSaturated",
     "UnknownDatasetError",
@@ -75,6 +76,16 @@ class UnknownQueryError(KeyError):
 
 class ServiceTimeout(RuntimeError):
     """A synchronous request ran past its deadline (HTTP 504)."""
+
+
+class CountOverflowError(OverflowError):
+    """The vectorized kernels' int64 guard refused the count (HTTP 422):
+    the request is well formed, but its backend cannot count it exactly."""
+
+
+#: how a job records an ``OverflowError`` (``JobQueue`` keeps the
+#: exception's type name and text)
+_OVERFLOW_PREFIX = f"{OverflowError.__name__}: "
 
 
 class CountingService:
@@ -370,8 +381,10 @@ class CountingService:
         Bit-identical to ``CountingEngine.count`` with the same resolved
         parameters.  ``timeout`` (seconds; ``None`` waits forever) must
         lie in ``(0, threading.TIMEOUT_MAX]``, checked before anything is
-        queued.  Raises :class:`ServiceSaturated` when the queue is full
-        and :class:`ServiceTimeout` when the deadline passes.
+        queued.  Raises :class:`ServiceSaturated` when the queue is full,
+        :class:`ServiceTimeout` when the deadline passes, and
+        :class:`CountOverflowError` when the count overflows the
+        vectorized kernels' int64 range.
         """
         with self._lock:
             self._count_requests += 1
@@ -392,6 +405,8 @@ class CountingService:
                 # joined a job whose submission was shed by admission
                 # control — this request was effectively rejected too
                 raise ServiceSaturated(error)
+            if error.startswith(_OVERFLOW_PREFIX):
+                raise CountOverflowError(error[len(_OVERFLOW_PREFIX):])
             raise RuntimeError(error)
         return job.result, False  # type: ignore[return-value]
 

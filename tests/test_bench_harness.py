@@ -157,6 +157,51 @@ class TestBaselineGate:
         assert 0 < cal < 5.0
 
 
+class TestObsOverheadTiming:
+    """The obs-on/obs-off timing both overhead gates share."""
+
+    def test_sides_alternate_on_every_repetition(self):
+        from repro import obs
+
+        seen = []
+
+        def fn():
+            seen.append(obs.is_enabled())
+            return 7
+
+        on, off, count = harness.time_obs_overhead(fn, 3)
+        # one untimed warm-up, then on/off pairs
+        assert seen == [True] + [True, False] * 3
+        assert count == 7 and on > 0 and off > 0
+        assert obs.is_enabled()
+
+    def test_exception_leaves_obs_enabled(self):
+        from repro import obs
+
+        calls = []
+
+        def fn():
+            calls.append(obs.is_enabled())
+            if len(calls) == 3:  # the first obs-off repetition
+                raise KeyError("boom")
+            return 1
+
+        with pytest.raises(KeyError):
+            harness.time_obs_overhead(fn, 3)
+        assert calls[-1] is False
+        assert obs.is_enabled()
+
+    def test_count_mismatch_raises(self):
+        from repro import obs
+
+        def fn():
+            return 1 if obs.is_enabled() else 2
+
+        with pytest.raises(RuntimeError, match="changed the count"):
+            harness.time_obs_overhead(fn, 2)
+        assert obs.is_enabled()
+
+
 class TestPerfSmokeCLI:
     """End-to-end runs of ``python -m repro.bench`` (in-process)."""
 

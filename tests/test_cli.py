@@ -16,7 +16,7 @@ class TestParser:
         )
         assert args.graph == "condmat"
         assert args.trials == 2
-        assert args.method == "db"
+        assert args.method == "auto"
 
 
 class TestCommands:
@@ -50,6 +50,18 @@ class TestCommands:
              "--trials", "1", "--method", "ps"]
         )
         assert rc == 0
+
+    def test_count_overflow_is_a_clean_error(self, capsys, monkeypatch):
+        # the default auto runs the sweep on a cyclic query; a tiny sum
+        # limit makes its int64 guard refuse the first aggregation
+        import repro.counting.vectorized as vec
+
+        monkeypatch.setattr(vec, "_SUM_LIMIT", 1.0)
+        rc = main(["count", "--graph", "condmat", "--query", "glet1", "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64" in err
+        assert "Traceback" not in err
 
     def test_count_from_edge_list(self, tmp_path, capsys, petersen_graph):
         from repro.graph import write_edge_list

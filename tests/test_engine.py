@@ -1,5 +1,7 @@
 """Tests for the unified counting engine (repro.engine)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ def graph(rng):
 
 @pytest.fixture
 def planner_calls(monkeypatch):
-    """Counter of actual planner invocations (heuristic_plan calls)."""
+    """Counter of actual planner invocations (heuristic_plan calls),
+    starting from an empty table of plans shared across engines."""
     calls = []
     original = planner_mod.heuristic_plan
 
@@ -40,6 +43,7 @@ def planner_calls(monkeypatch):
     import repro.engine.engine as engine_mod
 
     monkeypatch.setattr(engine_mod, "heuristic_plan", counting_heuristic_plan)
+    monkeypatch.setattr(engine_mod, "_SHARED_PLANS", weakref.WeakValueDictionary())
     return calls
 
 
@@ -60,18 +64,23 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.register(SolverBackend("db"))
 
-    def test_auto_picks_treelet_for_trees(self, graph):
-        engine = CountingEngine(graph)
+    def test_auto_picks_treelet_for_trees(self, rng):
+        # only trees whose counts could overflow the sweep's int64 tables
+        # (max degree >= 12 makes 10-node paths fail the bound) leave it
+        dense = erdos_renyi(20, 0.8, rng, name="dense20")
+        assert dense.max_degree() >= 12
+        engine = CountingEngine(dense)
+        assert engine.count(path_query(10), trials=1, seed=0, method=AUTO).method == "treelet"
         tree = star_query(3, name="star3")
         cyc = paper_query("glet1")
-        assert engine.count(tree, trials=1, seed=0, method=AUTO).method == "treelet"
-        assert engine.count(cyc, trials=1, seed=0, method=AUTO).method == "db"
+        assert engine.count(tree, trials=1, seed=0, method=AUTO).method == "ps-vec"
+        assert engine.count(cyc, trials=1, seed=0, method=AUTO).method == "ps-vec"
 
     def test_auto_avoids_treelet_for_wide_palette(self, graph):
         engine = CountingEngine(graph)
         tree = path_query(4, name="p4")
         r = engine.count(tree, trials=1, seed=0, method=AUTO, num_colors=tree.k + 2)
-        assert r.method == "db"
+        assert r.method == "ps-vec"
 
 
 class TestBackendParity:
@@ -251,10 +260,10 @@ class TestRunResult:
         r = CountingEngine(graph).count(cycle_query(3), trials=2, seed=0)
         assert isinstance(r, RunResult)
         assert isinstance(r, EstimateResult)
-        assert r.method == "db"
+        assert r.method == "ps-vec"  # what the default "auto" resolves to
         assert r.plan is not None
         assert r.wall_clock > 0
-        assert "method=db" in r.summary()
+        assert "method=ps-vec" in r.summary()
 
     def test_config_and_request_immutable(self):
         cfg = EngineConfig()

@@ -299,7 +299,7 @@ class TestEngineIntegration:
         assert result.method == "ps-vec"
 
     def test_auto_threshold_keeps_ps_vec_below_escalation_size(self, large_graph):
-        # well above the ps-vec threshold, far below the ps-dist one
+        # far below the ps-dist escalation size
         assert large_graph.n + large_graph.m < DIST_AUTO_MIN_SIZE
         result = CountingEngine(large_graph, workers=2).count(
             cycle_query(4), trials=1, method="auto"

@@ -247,11 +247,15 @@ class TestEngineLabels:
                 assert engine.count(q, method=method).colorful_counts == [expected]
 
     def test_auto_dispatch_skips_treelet_for_labeled_trees(self):
-        g = labeled_graph()
+        # max degree >= 12: 10-node paths fail the sweep's int64 bound, so
+        # auto sends the unlabeled one to the treelet DP, which has no
+        # label masks; the labeled twin stays on the sweep
+        g = labeled_graph(p=0.8)
+        assert g.max_degree() >= 12
         with CountingEngine(g, method="auto", trials=1) as engine:
-            assert engine.count(path_query(3)).method == "treelet"
-            labeled = with_random_labels(path_query(3), 2, seed=0)
-            assert engine.count(labeled).method != "treelet"
+            assert engine.count(path_query(10)).method == "treelet"
+            labeled = with_random_labels(path_query(10), 2, seed=0)
+            assert engine.count(labeled).method == "ps-vec"
 
     def test_fingerprint_distinguishes_labels(self):
         base = cycle_query(3)

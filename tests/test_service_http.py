@@ -84,8 +84,12 @@ class TestEndpoints:
             assert section in stats
         assert stats["queue"]["workers"] == 2
 
-    def test_error_mapping(self, stack):
+    def test_error_mapping(self, stack, monkeypatch):
         _, _, client = stack
+        # a tiny sum limit makes the sweep's int64 guard refuse any count
+        import repro.counting.vectorized as vec
+
+        monkeypatch.setattr(vec, "_SUM_LIMIT", 1.0)
         for kwargs, status in (
             (dict(dataset="nope", query="glet1"), 404),
             (dict(dataset="er60", query="nope"), 404),
@@ -110,10 +114,14 @@ class TestEndpoints:
             # retired array namespaces (device specs and "auto")
             (dict(dataset="er60", query="glet1", namespace="auto"), 400),
             (dict(dataset="er60", query="glet1", namespace="CuPy"), 400),
+            # a count past the int64 kernels: the guard's text, not a 500
+            (dict(dataset="er60", query="glet1", method="ps-vec", seed=4242), 422),
         ):
             with pytest.raises(ServiceAPIError) as err:
                 client.count(**kwargs)
             assert err.value.status == status
+            if status == 422:
+                assert "int64" in err.value.message
         with pytest.raises(ServiceAPIError) as err:
             client.job("doesnotexist")
         assert err.value.status == 404

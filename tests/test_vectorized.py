@@ -19,7 +19,7 @@ from repro.counting.vectorized import (
     solve_plan_vectorized,
 )
 from repro.decomposition import choose_plan
-from repro.engine import VEC_AUTO_MIN_SIZE, CountingEngine, get_backend
+from repro.engine import CountingEngine, get_backend
 from repro.graph import Graph, erdos_renyi, grid_road_network
 from repro.query import cycle_query, paper_queries, path_query, satellite, star_query
 
@@ -194,21 +194,21 @@ class TestEngineIntegration:
 
     def test_auto_prefers_vec_on_large_cyclic(self):
         rng = np.random.default_rng(5)
-        g = grid_road_network(40, 40, rng)  # n + m well above the threshold
-        assert g.n + g.m >= VEC_AUTO_MIN_SIZE
+        g = grid_road_network(40, 40, rng)
         result = CountingEngine(g).count(cycle_query(4), trials=1, method="auto")
         assert result.method == "ps-vec"
 
-    def test_auto_keeps_db_on_small_cyclic(self):
+    def test_auto_picks_vec_on_small_cyclic(self):
+        # no size threshold: the sweep wins at every input size
         g = erdos_renyi(20, 0.3, np.random.default_rng(2))
         result = CountingEngine(g).count(cycle_query(4), trials=1, method="auto")
-        assert result.method == "db"
+        assert result.method == "ps-vec"
 
-    def test_auto_still_prefers_treelet_on_trees(self):
+    def test_auto_picks_vec_on_trees_within_int64_bound(self):
         rng = np.random.default_rng(5)
         g = grid_road_network(40, 40, rng)
         result = CountingEngine(g).count(path_query(3), trials=1, method="auto")
-        assert result.method == "treelet"
+        assert result.method == "ps-vec"
 
     def test_engine_counts_match_ps(self, medium_graph):
         engine = CountingEngine(medium_graph)
