@@ -10,8 +10,9 @@ Public surface (see subpackages for the full API):
 * :mod:`repro.graph` — CSR data graphs and generators;
 * :mod:`repro.query` — query graphs, treewidth, the Figure 8 library;
 * :mod:`repro.decomposition` — decomposition trees and the plan heuristic;
-* :mod:`repro.counting` — the PS baseline, the DB algorithm, the treelet
-  DP, brute-force references and the color-coding estimator;
+* :mod:`repro.counting` — the PS baseline, the DB algorithm, the exact
+  vectorized PS sweep (joins in bounded-memory chunks), brute-force
+  references and the color-coding estimator;
 * :mod:`repro.engine` — the unified counting engine (pluggable backends,
   plan/partition caches, batch + process-parallel execution);
 * :mod:`repro.distributed` — the simulated distributed engine;

@@ -139,7 +139,7 @@ class AnalysisConfig:
     # -- RP002: dtype discipline -------------------------------------------
     rp002_scopes: Tuple[str, ...] = (
         "counting/vectorized.py", "counting/colorings.py",
-        "counting/labels.py", "counting/treelet.py",
+        "counting/labels.py",
         "distributed/executor.py", "distributed/runtime.py",
         "distributed/partition.py", "graph/graph.py",
     )

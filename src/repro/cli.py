@@ -157,7 +157,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                     num_colors=args.num_colors,
                     workers=args.workers,
                 )
-    except (KeyError, OSError, OverflowError, ValueError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         return _cli_error(exc)
     palette = f", num_colors={result.num_colors}" if result.num_colors != q.k else ""
     workers = f", workers={result.workers}" if result.workers > 1 else ""
@@ -282,9 +282,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method", choices=tuple(available_backends()) + ("auto",), default="db",
         help="default counting backend for requests that omit one; db, "
-        "not the engine's auto, because finished jobs stay cached and each "
-        "job thread would hold a vectorized sweep's working set, which "
-        "raises the server's peak memory (default: %(default)s)",
+        "not the engine's auto, until the server's peak memory on the "
+        "sweep is measured again (default: %(default)s)",
     )
     parser.add_argument("--trials", type=int, default=10,
                         help="default trials per request (default: %(default)s)")
@@ -345,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(available_backends()) + ("auto",),
         default="auto",
         help="counting backend; 'auto' runs the vectorized ps-vec sweep "
-        "unless a tree could overflow its int64 counts (then the exact "
-        "treelet DP) or --workers > 1 meets a huge input (then ps-dist) "
-        "(default: %(default)s)",
+        "(exact counts, joins in bounded-memory chunks), or ps-dist when "
+        "--workers > 1 meets a huge input (default: %(default)s)",
     )
     p_count.add_argument("--trials", type=int, default=5,
                          help="fixed trial count (ignored when --rel-error / "

@@ -1,4 +1,5 @@
-"""Counting algorithms: PS baseline, DB contribution, treelet DP, estimator."""
+"""Counting algorithms: PS baseline, DB contribution, the vectorized PS
+sweep (exact, chunked), brute-force references and the estimator."""
 
 from .bruteforce import count_colorful_matches, count_matches
 from .colorings import (
@@ -13,7 +14,6 @@ from .estimator import EstimateResult, normalization_factor
 from .labels import label_masks, label_masks_from_arrays
 from .ps import count_colorful_ps
 from .solver import METHODS, VEC_METHOD, BlockSolver, solve_plan
-from .treelet import count_colorful_treelet
 from .vectorized import count_colorful_ps_vec, solve_plan_vectorized
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "count_colorful_ps",
     "count_colorful_ps_vec",
     "count_colorful_db",
-    "count_colorful_treelet",
     "solve_plan",
     "solve_plan_vectorized",
     "BlockSolver",

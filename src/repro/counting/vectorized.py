@@ -7,8 +7,8 @@ On the stand-in graphs the interpreter dispatch around those dicts costs
 an order of magnitude more than the arithmetic.  This module re-expresses
 the same dynamic program as whole-table array operations:
 
-* a path table is four parallel ``int64`` arrays ``(u, v, sig, cnt)``,
-  kept lexicographically sorted by ``(u, v, sig)``;
+* a path table is four parallel arrays ``(u, v, sig, cnt)``, kept
+  lexicographically sorted by ``(u, v, sig)``;
 * **EdgeJoin with the data graph** gathers every entry's full CSR
   neighbour slice in one shot (``repeat`` over degrees + one fancy
   index into ``indices``), masks out colour collisions, and re-aggregates
@@ -21,16 +21,23 @@ the same dynamic program as whole-table array operations:
   sum (this is where ``add.at`` semantics appear — we use the
   sorted-``reduceat`` form because it is deterministic and faster).
 
-Counts use ``int64`` accumulators (the dict kernels use Python bignums).
-Guards raise ``OverflowError`` before results can wrap: per-entry counts
+Memory is bounded by chunking every gather.  Each kernel keeps the
+path's start vertex ``u`` as its leading output key, so a join's input
+rows (sorted by ``u``) are cut where ``u`` changes into ranges that each
+expand to at most :data:`_CHUNK_ROWS` rows, and the per-range outputs
+concatenate into the sorted, unique table with no second aggregation.  A
+0-boundary root cycle sums per-range totals instead.
+
+Counts are exact.  The key columns are always ``int64``; the count
+column is ``int64`` first, guarded so it cannot wrap: per-entry counts
 entering a product join must stay below ``2^31`` (so products fit in 62
-bits), and every aggregation/total is preceded by a float64 whole-table
-sum check against ``2^62``.  Within those bounds the results are
-**bit-identical** to ``method="ps"`` on the same plan and coloring —
-asserted across the whole query library by the parity tests and the
-differential matrix.  For tree queries :func:`tree_fits_int64` decides
-from the maximum degree alone that no guard can trip; ``method="auto"``
-sends the trees that fail it to the exact treelet DP instead.
+bits), and every aggregation/total is preceded by a float64 sum check
+against ``2^62``.  When a guard trips, :func:`solve_plan_vectorized` (and
+the ``ps-dist`` executor) rerun the trial with ``exact=True``: the count
+column becomes a NumPy object array of Python ints and the guards are
+skipped.  Either way the results are **bit-identical** to ``method="ps"``
+on the same plan and coloring — asserted across the whole query library
+by the parity tests and the differential matrix.
 
 Only the PS splitting strategy is vectorized: PS never records interior
 boundary nodes, so its tables stay rectangular ``(u, v, sig)`` arrays.
@@ -40,7 +47,7 @@ and stays on the dict kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +70,6 @@ __all__ = [
     "solve_plan_vectorized",
     "count_colorful_ps_vec",
     "MAX_COLORS_VEC",
-    "tree_fits_int64",
 ]
 
 Node = Hashable
@@ -78,6 +84,11 @@ _ENTRY_LIMIT = 1 << 31
 #: any table whose total count stays below this cannot wrap an int64
 #: segment sum; measured in float64 so the check itself cannot overflow
 _SUM_LIMIT = float(2**62)
+
+#: rows one gather may expand to: joins cut their input into start-vertex
+#: ranges under this budget (one start vertex that alone expands past it
+#: still runs as one range)
+_CHUNK_ROWS = 1 << 18
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -111,11 +122,9 @@ def _group_sum(
         return [c[:0] for c in cols], cnt[:0]
     # conservative overflow check: the whole-table float64 total bounds
     # every segment sum, so staying under 2^62 rules out int64 wrap
-    if float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
-        raise OverflowError(
-            "ps-vec table aggregation would exceed int64; rerun with the "
-            "arbitrary-precision 'ps' backend"
-        )
+    # (object columns hold Python ints and cannot wrap)
+    if cnt.dtype != object and float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
+        raise OverflowError("ps-vec table aggregation would exceed int64")
     order = np.lexsort(tuple(reversed(cols)))
     cols = [c[order] for c in cols]
     cnt = cnt[order]
@@ -127,19 +136,23 @@ def _group_sum(
     return [c[starts] for c in cols], np.add.reduceat(cnt, starts)
 
 
-def _expand(starts: np.ndarray, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _expand(
+    starts: np.ndarray, lens: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten per-entry ranges ``[starts, starts+lens)`` into gather indices.
 
-    Returns ``(rep, pos)``: ``rep[i]`` is the source entry of flat slot
-    ``i`` and ``pos[i]`` the absolute position inside the indexed array.
+    ``ends`` is the running total of ``lens``, which may continue a total
+    over earlier rows.  Returns ``(rep, pos)``: ``rep[i]`` is the source
+    entry of flat slot ``i`` and ``pos[i]`` the absolute position inside
+    the indexed array.
     """
-    total = int(np.sum(lens)) if len(lens) else 0
+    first = int(ends[0] - lens[0]) if len(lens) else 0
+    total = int(ends[-1]) - first if len(lens) else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     rep = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    offsets = np.cumsum(lens) - lens
-    pos = np.arange(total, dtype=np.int64) - offsets[rep] + starts[rep]
+    pos = np.arange(first, first + total, dtype=np.int64) - (ends - lens)[rep] + starts[rep]
     return rep, pos
 
 
@@ -149,37 +162,63 @@ def _check_counts(cnt: np.ndarray) -> None:
     Counts are non-negative by construction (tables seed at 1 and only
     sum/multiply under these guards), so the max bounds the magnitude.
     """
-    if len(cnt) and int(np.max(cnt)) >= _ENTRY_LIMIT:
-        raise OverflowError(
-            "ps-vec count tables exceeded 2^31 per entry; rerun with the "
-            "arbitrary-precision 'ps' backend"
-        )
-
-
-def tree_fits_int64(g: Graph, k: int) -> bool:
-    """Whether no guard above can trip on any ``k``-node tree query in ``g``.
-
-    With ``Δ`` the maximum degree, a table entry counts colorful
-    embeddings of a connected sub-query with one image fixed, so it is at
-    most ``Δ^(k-1)``; a row sum before aggregation counts embeddings of a
-    connected sub-query, so it is at most ``n·Δ^(k-1)``.  Both are
-    checked in Python ints against the guards' own limits.  The argument
-    holds for any connected query; ``method="auto"`` applies it to trees
-    only, the one shape with an exact fallback (the treelet DP) fast
-    enough to route to.
-    """
-    walks = g.max_degree() ** (k - 1)
-    return walks < _ENTRY_LIMIT and g.n * walks <= _SUM_LIMIT
+    if cnt.dtype != object and len(cnt) and int(np.max(cnt)) >= _ENTRY_LIMIT:
+        raise OverflowError("ps-vec count tables exceeded 2^31 per entry")
 
 
 def _checked_total(cnt: np.ndarray) -> int:
     """Sum counts, refusing totals that could wrap an int64 accumulator."""
-    if len(cnt) and float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
-        raise OverflowError(
-            "ps-vec total count would exceed int64; rerun with the "
-            "arbitrary-precision 'ps' backend"
-        )
+    if cnt.dtype != object and len(cnt) and float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
+        raise OverflowError("ps-vec total count would exceed int64")
     return int(np.sum(cnt)) if len(cnt) else 0
+
+
+def _row_ranges(u: np.ndarray, ends: np.ndarray) -> List[slice]:
+    """Cut rows sorted by start vertex ``u`` into one range per gather.
+
+    ``ends`` is the running total of the rows each input row expands to.
+    Cuts fall only where ``u`` changes, and each range expands to at most
+    :data:`_CHUNK_ROWS` rows unless one start vertex alone expands past
+    it.  At or under the budget the single range covers every row.
+    """
+    n = len(u)
+    if n == 0 or int(ends[-1]) <= _CHUNK_ROWS:
+        return [slice(0, n)]
+    ranges = []
+    a = 0
+    while a < n:
+        done = int(ends[a - 1]) if a else 0
+        b = int(np.searchsorted(ends, done + _CHUNK_ROWS, side="right"))
+        if b < n:
+            # back off to the first row of u[b]; a start vertex that alone
+            # overruns the budget becomes a range of its own
+            b = int(np.searchsorted(u, u[b], side="left"))
+            if b <= a:
+                b = int(np.searchsorted(u, u[a], side="right"))
+        ranges.append(slice(a, b))
+        a = b
+    return ranges
+
+
+def _gathers(
+    u: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+    """``(rows, rep, pos)`` per start-vertex range of a join's input rows:
+    the rows of the range and the gather indices of its expansion
+    (:func:`_expand` over ``[starts, starts+lens)``)."""
+    ends = np.cumsum(lens)
+    for r in _row_ranges(u, ends):
+        rep, pos = _expand(starts[r], lens[r], ends[r])
+        yield r, rep, pos
+
+
+def _concat(parts: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    """Stack per-range output columns; one range passes through uncopied.
+    Every join keeps ``u`` as its leading output key, so the stacked
+    ranges are the sorted, unique table."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 class VecUnaryTable:
@@ -266,6 +305,10 @@ class VectorizedSolver:
     executor builds on.  Child tables must then cover *all* vertices:
     :meth:`inject` installs externally combined (full) child results.
 
+    ``exact=True`` seeds the count column as a NumPy object array of
+    Python ints, which every join inherits and no guard checks: the rerun
+    a trial takes when an ``int64`` guard trips.  Key columns stay int64.
+
     All inputs — CSR arrays, the coloring, shard and label masks — are
     converted to int64/bool arrays here, once per solver.
     """
@@ -277,8 +320,11 @@ class VectorizedSolver:
         k: int,
         start_mask: Optional[np.ndarray] = None,
         vertex_ok: Optional[Dict[Node, np.ndarray]] = None,
+        *,
+        exact: bool = False,
     ) -> None:
         self.g = g
+        self.exact = exact
         indptr, indices = g.to_csr()
         self._indptr = np.asarray(indptr, dtype=np.int64)
         self._indices = np.asarray(indices, dtype=np.int64)
@@ -346,7 +392,8 @@ class VectorizedSolver:
         if ok_v is not None:
             keep &= ok_v[self._indices]
         u, v = u[keep], self._indices[keep]
-        return VecPathTable(u, v, bit[u] | bit[v], np.ones(len(u), dtype=np.int64))
+        cnt = np.ones(len(u), dtype=object if self.exact else np.int64)
+        return VecPathTable(u, v, bit[u] | bit[v], cnt)
 
     def _init_from_child(self, child: VecBinaryTable) -> VecPathTable:
         """Seed from an annotated edge's child projection table (copy-free)."""
@@ -359,20 +406,25 @@ class VectorizedSolver:
         self, t: VecPathTable, ok_w: Optional[np.ndarray] = None
     ) -> VecPathTable:
         """EdgeJoin with the data graph: extend every path by every neighbour
-        of its end vertex whose color is unused, in one batched gather.
-        ``ok_w`` masks the new vertex by label compatibility."""
+        of its end vertex whose color is unused, one batched gather per
+        start-vertex range.  ``ok_w`` masks the new vertex by label
+        compatibility."""
         if len(t) == 0:
             return self._empty_path()
         colors, bit = self.colors, self.bit
-        rep, pos = _expand(self._indptr[t.v], self._degrees[t.v])
-        w = self._indices[pos]
-        sig = t.sig[rep]
-        keep = ((sig >> colors[w]) & 1) == 0
-        if ok_w is not None:
-            keep &= ok_w[w]
-        rep, w, sig = rep[keep], w[keep], sig[keep]
-        (u, v, sig), cnt = _group_sum((t.u[rep], w, sig | bit[w]), t.cnt[rep])
-        return VecPathTable(u, v, sig, cnt)
+        starts, lens = self._indptr[t.v], self._degrees[t.v]
+
+        def extend(r: slice, rep: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, ...]:
+            w = self._indices[pos]
+            sig = t.sig[r][rep]
+            keep = ((sig >> colors[w]) & 1) == 0
+            if ok_w is not None:
+                keep &= ok_w[w]
+            rep, w, sig = rep[keep], w[keep], sig[keep]
+            (u, v, sig), cnt = _group_sum((t.u[r][rep], w, sig | bit[w]), t.cnt[r][rep])
+            return u, v, sig, cnt
+
+        return VecPathTable(*_concat([extend(*g) for g in _gathers(t.u, starts, lens)]))
 
     def _extend_with_child(self, t: VecPathTable, child: VecBinaryTable) -> VecPathTable:
         """EdgeJoin with a child table: sort-merge join on the path end vertex.
@@ -383,18 +435,21 @@ class VectorizedSolver:
         if len(t) == 0 or len(child) == 0:
             return self._empty_path()
         bit = self.bit
-        lo = np.searchsorted(child.u, t.v, side="left")
-        hi = np.searchsorted(child.u, t.v, side="right")
-        rep, pos = _expand(lo, hi - lo)
-        sig1, sig2 = t.sig[rep], child.sig[pos]
-        keep = (sig1 & sig2) == bit[t.v[rep]]
-        rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
         _check_counts(t.cnt)
         _check_counts(child.cnt)
-        (u, v, sig), cnt = _group_sum(
-            (t.u[rep], child.v[pos], sig1 | sig2), t.cnt[rep] * child.cnt[pos]
-        )
-        return VecPathTable(u, v, sig, cnt)
+        lo = np.searchsorted(child.u, t.v, side="left")
+        lens = np.searchsorted(child.u, t.v, side="right") - lo
+
+        def extend(r: slice, rep: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, ...]:
+            sig1, sig2 = t.sig[r][rep], child.sig[pos]
+            keep = (sig1 & sig2) == bit[t.v[r][rep]]
+            rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
+            (u, v, sig), cnt = _group_sum(
+                (t.u[r][rep], child.v[pos], sig1 | sig2), t.cnt[r][rep] * child.cnt[pos]
+            )
+            return u, v, sig, cnt
+
+        return VecPathTable(*_concat([extend(*g) for g in _gathers(t.u, lo, lens)]))
 
     def _node_join(
         self, t: VecPathTable, child: VecUnaryTable, on_start: bool
@@ -403,47 +458,65 @@ class VectorizedSolver:
         if len(t) == 0 or len(child) == 0:
             return self._empty_path()
         bit = self.bit
-        x = t.u if on_start else t.v
-        lo = np.searchsorted(child.u, x, side="left")
-        hi = np.searchsorted(child.u, x, side="right")
-        rep, pos = _expand(lo, hi - lo)
-        sig1, sig2 = t.sig[rep], child.sig[pos]
-        keep = (sig1 & sig2) == bit[x[rep]]
-        rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
         _check_counts(t.cnt)
         _check_counts(child.cnt)
-        (u, v, sig), cnt = _group_sum(
-            (t.u[rep], t.v[rep], sig1 | sig2), t.cnt[rep] * child.cnt[pos]
-        )
-        return VecPathTable(u, v, sig, cnt)
+        x = t.u if on_start else t.v
+        lo = np.searchsorted(child.u, x, side="left")
+        lens = np.searchsorted(child.u, x, side="right") - lo
+
+        def join(r: slice, rep: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, ...]:
+            sig1, sig2 = t.sig[r][rep], child.sig[pos]
+            keep = (sig1 & sig2) == bit[x[r][rep]]
+            rep, pos, sig1, sig2 = rep[keep], pos[keep], sig1[keep], sig2[keep]
+            (u, v, sig), cnt = _group_sum(
+                (t.u[r][rep], t.v[r][rep], sig1 | sig2), t.cnt[r][rep] * child.cnt[pos]
+            )
+            return u, v, sig, cnt
+
+        return VecPathTable(*_concat([join(*g) for g in _gathers(t.u, lo, lens)]))
 
     def _merge_paths(
-        self, tplus: VecPathTable, tminus: VecPathTable
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cycle merge: join the two path tables on their shared endpoints.
+        self, tplus: VecPathTable, tminus: VecPathTable, boundary: Tuple[Node, ...]
+    ) -> object:
+        """Cycle merge: join the two path tables on their shared endpoints
+        and project the matches onto the block's ``boundary``.
 
         Both tables run start→end, so the join key is the ``(u, v)``
         pair, encoded as ``u*n + v`` to make it one monotone
-        ``searchsorted`` axis.  Returns the raw matched rows
-        ``(u, v, sig1|sig2, cnt1*cnt2)`` — the caller aggregates
-        according to the block's boundary arity.
+        ``searchsorted`` axis.  P+ is cut into start-vertex ranges, each
+        searched against all of P−.  The PS split puts ``boundary[0]`` at
+        the path start, so a 1-boundary cycle groups on ``(u, sig)`` and a
+        2-boundary cycle on ``(u, v, sig)``; a 0-boundary root sums the
+        per-range totals.
         """
-        bit, n = self.bit, self.g.n
-        if len(tplus) == 0 or len(tminus) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty
+        bit, n, nb = self.bit, self.g.n, len(boundary)
+        _check_counts(tplus.cnt)
+        _check_counts(tminus.cnt)
         key_minus = tminus.u * n + tminus.v
         key_plus = tplus.u * n + tplus.v
         lo = np.searchsorted(key_minus, key_plus, side="left")
-        hi = np.searchsorted(key_minus, key_plus, side="right")
-        rep, pos = _expand(lo, hi - lo)
-        sig1, sig2 = tplus.sig[rep], tminus.sig[pos]
-        u, v = tplus.u[rep], tplus.v[rep]
-        keep = (sig1 & sig2) == (bit[u] | bit[v])
-        rep, pos, u, v = rep[keep], pos[keep], u[keep], v[keep]
-        _check_counts(tplus.cnt)
-        _check_counts(tminus.cnt)
-        return u, v, sig1[keep] | sig2[keep], tplus.cnt[rep] * tminus.cnt[pos]
+        lens = np.searchsorted(key_minus, key_plus, side="right") - lo
+
+        def merge(r: slice, rep: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, ...]:
+            sig1, sig2 = tplus.sig[r][rep], tminus.sig[pos]
+            u, v = tplus.u[r][rep], tplus.v[r][rep]
+            keep = (sig1 & sig2) == (bit[u] | bit[v])
+            rep, pos, u, v = rep[keep], pos[keep], u[keep], v[keep]
+            sig, cnt = sig1[keep] | sig2[keep], tplus.cnt[r][rep] * tminus.cnt[pos]
+            if nb == 0:
+                assert np.all(_popcount(sig) == self.k), "root signature size != k"
+                return (cnt,)
+            keys = (u, sig) if nb == 1 else (u, v, sig)
+            cols, cnt = _group_sum(keys, cnt)
+            return (*cols, cnt)
+
+        parts = (merge(*g) for g in _gathers(tplus.u, lo, lens))
+        if nb == 0:
+            return sum(_checked_total(cnt) for (cnt,) in parts)
+        cols = _concat(list(parts))
+        if nb == 1:
+            return VecUnaryTable(boundary[0], *cols)
+        return VecBinaryTable((boundary[0], boundary[1]), *cols)
 
     # ------------------------------------------------------------------
     def solve(self, block: Block) -> object:
@@ -568,21 +641,7 @@ class VectorizedSolver:
 
         tplus = self._build_path(plus_labels, plus_nodes, plus_edges)
         tminus = self._build_path(minus_labels, minus_nodes, minus_edges)
-        u, v, sig, cnt = self._merge_paths(tplus, tminus)
-
-        if nb == 0:
-            assert len(cnt) == 0 or np.all(
-                _popcount(sig) == self.k
-            ), "root signature size != k"
-            return _checked_total(cnt)
-        s_label, e_label = nodes[s_idx], nodes[e_idx]
-        if nb == 1:
-            img = u if boundary[0] == s_label else v
-            (bu, bsig), bcnt = _group_sum((img, sig), cnt)
-            return VecUnaryTable(boundary[0], bu, bsig, bcnt)
-        images = tuple(u if lab == s_label else v for lab in boundary)
-        (bu, bv, bsig), bcnt = _group_sum((images[0], images[1], sig), cnt)
-        return VecBinaryTable((boundary[0], boundary[1]), bu, bv, bsig, bcnt)
+        return self._merge_paths(tplus, tminus, boundary)
 
 
 def solve_plan_vectorized(
@@ -595,8 +654,9 @@ def solve_plan_vectorized(
 
     Semantics match :func:`repro.counting.solver.solve_plan` with
     ``method="ps"`` exactly (bit-identical counts); only the execution
-    strategy differs.  No per-rank load attribution is available — use
-    the dict kernels for simulated-rank experiments.
+    strategy differs.  The sweep runs on ``int64`` counts and, if a guard
+    trips, once more with Python-int counts.  No per-rank load attribution
+    is available — use the dict kernels for simulated-rank experiments.
     """
     colors = np.asarray(colors, dtype=np.int64)
     k = plan.query.k
@@ -612,20 +672,25 @@ def solve_plan_vectorized(
     vertex_ok = label_masks(g, plan.query)
 
     root = plan.root
-    if root.kind == SINGLETON:
-        if root.node_ann:
-            solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok)
-            (child,) = root.node_ann.values()
-            return solver.solve(child).total()
+    if root.kind == SINGLETON and not root.node_ann:
         if vertex_ok:
             (mask,) = vertex_ok.values()
             return int(mask.sum())
         return g.n
 
-    solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok)
-    result = solver.solve(root)
-    assert isinstance(result, int), "root cycle must produce a scalar"
-    return result
+    def sweep(exact: bool) -> int:
+        solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok, exact=exact)
+        if root.kind == SINGLETON:
+            (child,) = root.node_ann.values()
+            return solver.solve(child).total()
+        result = solver.solve(root)
+        assert isinstance(result, int), "root cycle must produce a scalar"
+        return result
+
+    try:
+        return sweep(exact=False)
+    except OverflowError:
+        return sweep(exact=True)
 
 
 def count_colorful_ps_vec(

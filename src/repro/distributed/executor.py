@@ -10,7 +10,9 @@ projection tables every rank needs for its next join.  Summing the
 per-shard results reproduces the sequential ``ps``/``ps-vec`` count **bit
 for bit**: integer table sums are exact, and the shard invariant (path
 extensions never change a row's start vertex) puts every table row in
-exactly one shard.
+exactly one shard.  Inside a worker the sweep chunks its joins by start
+vertex exactly as ``ps-vec`` does, and a trial whose ``int64`` guard
+trips anywhere reruns on every worker with Python-int counts.
 
 The same pool also runs whole trials (:meth:`ShardedExecutor.run_trials`):
 that is how the engine runs ``workers > 1`` for every other backend.
@@ -56,7 +58,6 @@ from ..counting.vectorized import (
     VecBinaryTable,
     VecUnaryTable,
     VectorizedSolver,
-    _SUM_LIMIT,
     _group_sum,
 )
 from ..decomposition.blocks import LEAF, SINGLETON
@@ -116,19 +117,14 @@ def _combine_shards(payloads: Sequence[tuple]) -> object:
     vertex, so the concatenation is re-aggregated with the same
     lexsort + segment-sum the sequential kernels use — the combined table
     is bit-identical to the one the unsharded solver builds, including
-    the int64 overflow guards.
+    the int64 overflow guards (which skip exact, Python-int shards).
+    Scalar shard counts are Python ints, summed exactly.
     """
     kind = payloads[0][0]
     if any(p[0] != kind for p in payloads):  # pragma: no cover - protocol bug guard
         raise RuntimeError("mixed shard payload kinds")
     if kind == "count":
-        total = sum(p[1] for p in payloads)
-        if float(total) > _SUM_LIMIT:
-            raise OverflowError(
-                "ps-dist total count would exceed int64; rerun with the "
-                "arbitrary-precision 'ps' backend"
-            )
-        return total
+        return sum(p[1] for p in payloads)
     if kind == "unary":
         boundary = payloads[0][1]
         u = np.concatenate([p[2] for p in payloads])
@@ -192,10 +188,11 @@ def _worker_main(
     """Worker loop: solve shard-restricted blocks on request.
 
     Protocol (master → worker): ``("plan", key, plan)`` registers a plan,
-    ``("trial", key, k, qlabels, trace_id)`` starts a trial (fresh solver
-    over the current shared coloring; ``qlabels`` is the labeled query's
-    node → label map, or ``None``; ``trace_id`` is the master's obs trace
-    ID when a trace is being collected, else ``None``), ``("block", idx)``
+    ``("trial", key, k, qlabels, trace_id, exact)`` starts a trial (fresh
+    solver over the current shared coloring; ``qlabels`` is the labeled
+    query's node → label map, or ``None``; ``trace_id`` is the master's obs
+    trace ID when a trace is being collected, else ``None``; ``exact``
+    selects Python-int counts), ``("block", idx)``
     solves one block's shard, ``("table", idx, payload)`` installs a
     combined child table, ``("stop",)`` exits.  Worker → master:
     ``("shard", idx, payload, cpu_seconds, wall_seconds, events)`` —
@@ -242,6 +239,7 @@ def _worker_main(
                         msg[2],
                         start_mask=start_mask,
                         vertex_ok=label_masks_from_arrays(labels, msg[3]),
+                        exact=msg[5],
                     )
                     _join_trace(msg[4])
                     pending_error = None  # stale failures die with their trial
@@ -507,8 +505,9 @@ class ShardedExecutor:
         """Count colorful matches of ``plan.query`` under one coloring.
 
         Bit-identical to :func:`solve_plan_vectorized` on the same plan
-        and coloring; also returns the measured per-rank
-        :class:`WallStats` for the run.
+        and coloring, including its rerun with Python-int counts when an
+        ``int64`` guard trips; also returns the measured per-rank
+        :class:`WallStats` for the run (the rerun's, if one ran).
         """
         if self.closed:
             raise RuntimeError("executor is closed")
@@ -525,7 +524,6 @@ class ShardedExecutor:
             )
 
         with self._run_lock:
-            stats = WallStats(self.nranks)
             t0 = time.perf_counter()
             root = plan.root
             if root.kind == LEAF:  # pragma: no cover - planner never roots a leaf
@@ -537,49 +535,60 @@ class ShardedExecutor:
                     count = int((self.graph.labels == int(lab)).sum())
                 else:
                     count = self.graph.n
-                stats.wall_seconds = time.perf_counter() - t0
-                self._runs += 1
-                return ShardResult(count, stats)
-
-            key = self._register_plan_locked(plan)
-            self._colors_view[:] = colors
-            self._broadcast(("trial", key, k, qlabels, _shipped_trace_id()))
-
-            blocks = plan.blocks()
-            stages = blocks[:-1] if root.kind == SINGLETON else blocks
-            last_combined: object = None
-            for idx, block in enumerate(stages):
-                stage_name = f"b{idx}:{block.kind}"
-                with obs.span(
-                    "dist.superstep", stage=stage_name, workers=self.nranks
-                ) as sp:
-                    self._broadcast(("block", idx))
-                    shards = self._gather(stats, stage_name)
-                    last_combined = _combine_shards(shards)
-                    if idx < len(stages) - 1:
-                        # publish the combined child table for the parents'
-                        # joins; the final stage's result is consumed only
-                        # by the master
-                        self._broadcast(("table", idx, _pack(last_combined)))
-                    # fold the measured WallStats row into the trace span
-                    rec = stats.stages[-1]
-                    sp.add(
-                        rows=int(rec.rows.sum()),
-                        max_wall=float(rec.wall.max()),
-                        max_cpu=float(rec.cpu.max()),
-                    )
-            if root.kind == SINGLETON:
-                # bottom-up block order puts the root's only child last
-                (child,) = root.node_ann.values()
-                assert stages[-1] is child, "plan block order violated"
-                count = last_combined.total()
+                stats = WallStats(self.nranks)
             else:
-                count = last_combined  # 0-boundary root cycle: scalar partials
-            obs_catalogue.dist_supersteps().inc(len(stages))
-            obs_catalogue.dist_exchanged_rows().inc(stats.exchanged_rows())
+                key = self._register_plan_locked(plan)
+                self._colors_view[:] = colors
+                try:
+                    count, stats = self._sweep_locked(plan, key, exact=False)
+                except OverflowError:
+                    # an int64 guard tripped in a worker or a combine; every
+                    # worker has answered, so redo the trial exactly
+                    count, stats = self._sweep_locked(plan, key, exact=True)
             stats.wall_seconds = time.perf_counter() - t0
             self._runs += 1
-            return ShardResult(int(count), stats)
+            return ShardResult(count, stats)
+
+    def _sweep_locked(self, plan: Plan, key: int, exact: bool) -> Tuple[int, WallStats]:
+        """One trial's supersteps over the current shared coloring."""
+        stats = WallStats(self.nranks)
+        root = plan.root
+        self._broadcast(
+            ("trial", key, plan.query.k, plan.query.labels, _shipped_trace_id(), exact)
+        )
+        blocks = plan.blocks()
+        stages = blocks[:-1] if root.kind == SINGLETON else blocks
+        last_combined: object = None
+        for idx, block in enumerate(stages):
+            stage_name = f"b{idx}:{block.kind}"
+            with obs.span(
+                "dist.superstep", stage=stage_name, workers=self.nranks
+            ) as sp:
+                self._broadcast(("block", idx))
+                shards = self._gather(stats, stage_name)
+                last_combined = _combine_shards(shards)
+                if idx < len(stages) - 1:
+                    # publish the combined child table for the parents'
+                    # joins; the final stage's result is consumed only
+                    # by the master
+                    self._broadcast(("table", idx, _pack(last_combined)))
+                # fold the measured WallStats row into the trace span
+                rec = stats.stages[-1]
+                sp.add(
+                    rows=int(rec.rows.sum()),
+                    max_wall=float(rec.wall.max()),
+                    max_cpu=float(rec.cpu.max()),
+                )
+        if root.kind == SINGLETON:
+            # bottom-up block order puts the root's only child last
+            (child,) = root.node_ann.values()
+            assert stages[-1] is child, "plan block order violated"
+            count = last_combined.total()
+        else:
+            count = last_combined  # 0-boundary root cycle: scalar partials
+        obs_catalogue.dist_supersteps().inc(len(stages))
+        obs_catalogue.dist_exchanged_rows().inc(stats.exchanged_rows())
+        return int(count), stats
 
     def run_trials(
         self,

@@ -21,8 +21,8 @@ Pieces:
 * :class:`RunResult` — estimate + provenance (backend, plan, timings,
   optional :class:`LoadStats`);
 * :class:`BackendRegistry` — the kernels behind one protocol (``ps``,
-  ``db``, ``ps-even``, ``ps-vec``, ``ps-dist``, ``treelet``,
-  ``bruteforce``; ``method="auto"``, the default, picks per request).
+  ``db``, ``ps-even``, ``ps-vec``, ``ps-dist``, ``bruteforce``;
+  ``method="auto"``, the default, picks per request).
 """
 
 from .backends import (

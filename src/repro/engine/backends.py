@@ -2,8 +2,8 @@
 
 Every kernel in the repo — the PS baseline, the DB contribution, the
 ``ps-even`` ablation, the vectorized ``ps-vec`` kernels, the sharded
-multiprocess ``ps-dist`` executor, the FASCIA-style treelet DP and the
-brute-force reference — is wrapped as a :class:`CountingBackend`: one
+multiprocess ``ps-dist`` executor and the brute-force reference — is
+wrapped as a :class:`CountingBackend`: one
 object with a uniform ``count_colorful(g, query, colors, ...)`` surface
 plus the capability flags the engine needs for dispatch (does it consume
 a decomposition plan? can it attribute work to simulated ranks? does
@@ -13,9 +13,10 @@ support?).
 Backends live in a :class:`BackendRegistry`; a new kernel subclasses
 :class:`CountingBackend` and is added with
 :meth:`BackendRegistry.register`.  ``method="auto"`` (the engine's
-default) asks the registry to pick per request: the vectorized sweep
-wherever it is known to be safe and fast, the exact treelet DP for the
-trees whose counts could overflow it, and DB for simulated-rank runs.
+default) asks the registry to pick per request: the vectorized sweep for
+every query whose palette fits it (trees included; its counts are exact
+and its joins run in bounded-memory chunks), and DB for simulated-rank
+runs.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from ..distributed.executor import ShardedExecutor
 from ..distributed.runtime import ExecutionContext
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
-from ..query.treewidth import is_tree
 from ..counting.bruteforce import count_colorful_matches
 from ..counting.solver import METHODS, VEC_METHOD, solve_plan
-from ..counting.treelet import count_colorful_treelet
-from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized, tree_fits_int64
+from ..counting.vectorized import MAX_COLORS_VEC, solve_plan_vectorized
 
 __all__ = [
     "CountingBackend",
@@ -217,37 +216,6 @@ class DistributedBackend(CountingBackend):
         return executor.count(plan, colors, num_colors=num_colors).count
 
 
-class TreeletBackend(CountingBackend):
-    """FASCIA-style DP for acyclic queries (paper's treewidth-1 context)."""
-
-    name = "treelet"
-
-    def supports(self, query: QueryGraph, num_colors: Optional[int] = None) -> bool:
-        """Trees only, the paper's exact ``k``-color palette, unlabeled.
-
-        Labeled queries fall through to the PS/DB family (``auto`` then
-        picks ``ps-vec``/``ps-dist``/``db``), which carry label masks.
-        """
-        return (
-            is_tree(query)
-            and (num_colors is None or num_colors == query.k)
-            and query.labels is None
-        )
-
-    def count_colorful(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colors: Sequence[int],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-    ) -> int:
-        """Run the bottom-up treelet DP (plan and ctx are ignored)."""
-        self.check(query, num_colors)
-        return count_colorful_treelet(g, query, colors)
-
-
 class BruteforceBackend(CountingBackend):
     """Exhaustive backtracking reference — exponential, validation only."""
 
@@ -320,17 +288,10 @@ class BackendRegistry:
         ``auto`` takes the first that applies:
 
         * a ``ctx`` asking for simulated-rank load → DB;
-        * a tree the treelet DP supports, when ``graph`` is unknown or
-          fails :func:`~repro.counting.vectorized.tree_fits_int64` →
-          the treelet DP (exact, Python ints);
         * ``workers > 1`` on an input with ``n + m`` at least
           :data:`DIST_AUTO_MIN_SIZE` → the sharded ``ps-dist``;
         * a palette that fits one signature word → ``ps-vec``;
         * otherwise DB.
-
-        Cyclic queries reach the sweep with no bound: there is no fast
-        exact fallback for them, and an overflow fails loudly with
-        ``OverflowError``.
         """
         if method == AUTO:
             backend = self._auto(query, num_colors, need_load_tracking, graph, workers)
@@ -354,13 +315,6 @@ class BackendRegistry:
     ) -> CountingBackend:
         if need_load_tracking:
             return self.get("db")
-        treelet = self._backends.get("treelet")
-        if (
-            treelet is not None
-            and treelet.supports(query, num_colors)
-            and (graph is None or not tree_fits_int64(graph, query.k))
-        ):
-            return treelet
         dist = self._backends.get(DIST_METHOD)
         if (
             workers > 1
@@ -382,7 +336,6 @@ def _make_default_registry() -> BackendRegistry:
         reg.register(SolverBackend(method))
     reg.register(VectorizedBackend())
     reg.register(DistributedBackend())
-    reg.register(TreeletBackend())
     reg.register(BruteforceBackend())
     return reg
 

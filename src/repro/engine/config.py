@@ -139,13 +139,13 @@ class EngineConfig:
     """Engine-wide defaults applied to every request that omits a field.
 
     ``method="auto"`` lets the registry pick per request: the vectorized
-    ``ps-vec`` sweep (bit-identical to PS and DB) unless a ``ctx`` needs
-    DB's simulated-rank load, a tree could overflow the sweep's int64
-    counts (then the exact treelet DP), or ``workers > 1`` meets a huge
-    input (then ``ps-dist``).  Name a backend (``"db"``, ``"ps"``, ...)
-    to pin it.  The sweep materialises every join before aggregating, so
-    on large inputs its peak memory can be several times dict DB's
-    (enron × brain2: 1084 MB against 318 MB).
+    ``ps-vec`` sweep (bit-identical to PS and DB, exact past int64)
+    unless a ``ctx`` needs DB's simulated-rank load or ``workers > 1``
+    meets a huge input (then ``ps-dist``).  Name a backend (``"db"``,
+    ``"ps"``, ...) to pin it.  The sweep gathers each join in
+    start-vertex chunks of at most 2^18 rows, so on large inputs its
+    peak memory stays near dict DB's (enron × brain2: 278 MB against
+    318 MB).
 
     ``workers`` sizes the engine's pooled worker processes: ordinary
     backends run whole trials on them; for the distributed ``ps-dist``

@@ -9,8 +9,8 @@ legacy free functions recomputed on every call:
 * a **partition cache** — simulated-rank partitions are built once per
   ``(nranks, strategy)`` pair;
 * dispatch through the shared **backend registry** — every kernel (PS,
-  DB, ps-even, treelet DP, brute force) behind one protocol, so
-  ``method="auto"`` can pick per query.
+  DB, ps-even, the vectorized sweep, brute force) behind one protocol,
+  so ``method="auto"`` can pick per query.
 
 Single queries run through :meth:`CountingEngine.count`, batches through
 :meth:`CountingEngine.count_many`; both accept :class:`CountRequest`

@@ -26,7 +26,6 @@ from .jobs import Job, JobQueue, ServiceSaturated, UnknownJobError
 from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
 from .service import (
     BadRequestError,
-    CountOverflowError,
     CountingService,
     ServiceTimeout,
     UnknownQueryError,
@@ -42,7 +41,6 @@ __all__ = [
     "ServiceSaturated",
     "ServiceTimeout",
     "BadRequestError",
-    "CountOverflowError",
     "UnknownDatasetError",
     "UnknownQueryError",
     "UnknownJobError",

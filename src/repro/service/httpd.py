@@ -12,8 +12,7 @@ Endpoints
 ``GET  /metrics``    Prometheus text exposition of the obs registry
 
 Status mapping: unknown dataset/query/job → 404, malformed request →
-400, a count past the int64 kernels' range → 422, saturated queue →
-429 (with ``Retry-After``), sync deadline → 504.
+400, saturated queue → 429 (with ``Retry-After``), sync deadline → 504.
 Built on :class:`http.server.ThreadingHTTPServer`: one thread per
 connection, which is exactly what the service's admission control is
 sized against.
@@ -40,7 +39,6 @@ from .jobs import ServiceSaturated, UnknownJobError
 from .registry import UnknownDatasetError
 from .service import (
     BadRequestError,
-    CountOverflowError,
     CountingService,
     ServiceTimeout,
     UnknownQueryError,
@@ -246,8 +244,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except BadRequestError as exc:
             self._error(400, str(exc))
-        except CountOverflowError as exc:
-            self._error(422, str(exc))
         except ServiceSaturated as exc:
             self._error(429, str(exc), retry_after=1)
         except ServiceTimeout as exc:

@@ -40,7 +40,6 @@ from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
 __all__ = [
     "CountingService",
     "BadRequestError",
-    "CountOverflowError",
     "ServiceTimeout",
     "ServiceSaturated",
     "UnknownDatasetError",
@@ -76,16 +75,6 @@ class UnknownQueryError(KeyError):
 
 class ServiceTimeout(RuntimeError):
     """A synchronous request ran past its deadline (HTTP 504)."""
-
-
-class CountOverflowError(OverflowError):
-    """The vectorized kernels' int64 guard refused the count (HTTP 422):
-    the request is well formed, but its backend cannot count it exactly."""
-
-
-#: how a job records an ``OverflowError`` (``JobQueue`` keeps the
-#: exception's type name and text)
-_OVERFLOW_PREFIX = f"{OverflowError.__name__}: "
 
 
 class CountingService:
@@ -316,7 +305,7 @@ class CountingService:
         if request.method != "auto":
             # surface unsupported query/palette/label combinations as an
             # eager 400 with the backend's own (accurate) reason — e.g.
-            # treelet rejects labels, ps-vec rejects palettes over 62
+            # ps-vec rejects palettes over 62
             backend = DEFAULT_REGISTRY.get(request.method)
             try:
                 backend.check(effective, request.num_colors)
@@ -381,10 +370,8 @@ class CountingService:
         Bit-identical to ``CountingEngine.count`` with the same resolved
         parameters.  ``timeout`` (seconds; ``None`` waits forever) must
         lie in ``(0, threading.TIMEOUT_MAX]``, checked before anything is
-        queued.  Raises :class:`ServiceSaturated` when the queue is full,
-        :class:`ServiceTimeout` when the deadline passes, and
-        :class:`CountOverflowError` when the count overflows the
-        vectorized kernels' int64 range.
+        queued.  Raises :class:`ServiceSaturated` when the queue is full
+        and :class:`ServiceTimeout` when the deadline passes.
         """
         with self._lock:
             self._count_requests += 1
@@ -405,8 +392,6 @@ class CountingService:
                 # joined a job whose submission was shed by admission
                 # control — this request was effectively rejected too
                 raise ServiceSaturated(error)
-            if error.startswith(_OVERFLOW_PREFIX):
-                raise CountOverflowError(error[len(_OVERFLOW_PREFIX):])
             raise RuntimeError(error)
         return job.result, False  # type: ignore[return-value]
 

@@ -1,9 +1,8 @@
 """``method="auto"``, the engine default, and the plans live engines share.
 
-Routing: ``auto`` runs the vectorized sweep unless a ``ctx`` asks for
-simulated-rank load (DB) or a tree could overflow the sweep's int64
-tables (the exact treelet DP).  Whatever it picks must count exactly
-what DB and the brute-force oracle count.  Plans: every live engine gets
+Routing: ``auto`` runs the vectorized sweep, trees included, unless a
+``ctx`` asks for simulated-rank load (DB).  Whatever it picks must count
+exactly what DB and the brute-force oracle count.  Plans: every live engine gets
 the same :class:`Plan` object for equal queries, and the shared table
 forgets a plan once no engine holds it.
 """
@@ -18,7 +17,6 @@ import pytest
 
 import repro.engine.engine as engine_mod
 from repro.counting import coloring_batch, count_colorful_matches
-from repro.counting.vectorized import tree_fits_int64
 from repro.engine import DEFAULT_REGISTRY, CountingEngine, EngineConfig
 from repro.graph import Graph, erdos_renyi
 from repro.graph.generators import chung_lu_power_law
@@ -33,7 +31,7 @@ MOTIFS5 = all_tw2_motifs(5)
 
 @pytest.fixture
 def dense_graph():
-    """Max degree >= 12, so 10-node trees fail the int64 bound."""
+    """Max degree >= 12, so 10-node trees can overflow int64 tables."""
     g = erdos_renyi(20, 0.8, np.random.default_rng(3), name="dense20")
     assert g.max_degree() >= 12
     return g
@@ -57,16 +55,20 @@ class TestRouting:
 
     def test_tree_inside_the_bound_takes_the_sweep(self):
         g = erdos_renyi(30, 0.2, np.random.default_rng(1))
-        assert tree_fits_int64(g, 5)
         assert method_of(g, path_query(5)) == "ps-vec"
         assert method_of(g, star_query(4)) == "ps-vec"
 
-    def test_tree_past_the_bound_takes_the_treelet_dp(self, dense_graph):
-        assert not tree_fits_int64(dense_graph, 10)
-        assert method_of(dense_graph, path_query(10)) == "treelet"
+    def test_dense_tree_takes_the_sweep(self, dense_graph):
+        # 10-node paths where table entries could reach Δ^9 > 2^31; the
+        # guards decide at run time (tests/test_sweep_bounds.py trips them)
+        engine = CountingEngine(dense_graph)
+        auto = engine.count(path_query(10), trials=4, seed=0)
+        assert auto.method == "ps-vec"
+        assert any(auto.colorful_counts)
+        db = engine.count(path_query(10), trials=4, seed=0, method="db")
+        assert auto.colorful_counts == db.colorful_counts
 
     def test_wide_palette_and_labeled_trees_take_the_sweep(self, dense_graph):
-        # the treelet DP supports neither, whatever the bound says
         q = path_query(10)
         assert method_of(dense_graph, q, num_colors=q.k + 1) == "ps-vec"
         labeled = dense_graph.with_labels(np.arange(dense_graph.n) % 2)
@@ -87,18 +89,6 @@ class TestRouting:
         colors = np.zeros(dense_graph.n, dtype=np.int64)
         engine.count_colorful(cycle_query(4), colors, ctx=ctx)
         assert ctx.stats.total_ops() > 0
-
-    def test_bound_uses_the_guard_limits(self, monkeypatch):
-        import repro.counting.vectorized as vec
-
-        # a 40-cycle has max degree 2: 2^(k-1) < 2^31 holds up to k = 31
-        ring = Graph(40, [(i, (i + 1) % 40) for i in range(40)])
-        assert vec._ENTRY_LIMIT == 2 ** 31
-        assert tree_fits_int64(ring, 31)
-        assert not tree_fits_int64(ring, 32)
-        # the row-sum half: n * 2^30 must not pass the sum limit
-        monkeypatch.setattr(vec, "_SUM_LIMIT", float(40 * 2 ** 30 - 1))
-        assert not tree_fits_int64(ring, 31)
 
 
 class TestAutoCountsExactly:

@@ -169,11 +169,44 @@ class TestObsOverheadTiming:
             seen.append(obs.is_enabled())
             return 7
 
-        on, off, count = harness.time_obs_overhead(fn, 3)
+        on, off, ratio, count = harness.time_obs_overhead(fn, 3)
         # one untimed warm-up, then on/off pairs
         assert seen == [True] + [True, False] * 3
-        assert count == 7 and on > 0 and off > 0
+        assert count == 7 and on > 0 and off > 0 and ratio > 0
         assert obs.is_enabled()
+
+    @staticmethod
+    def timed(monkeypatch, on, off):
+        """Run the timing over a fake clock: the ``i``-th obs-on call takes
+        ``on[i]`` seconds (``on[0]`` is the warm-up), the obs-off calls
+        ``off[i]``."""
+        from repro import obs
+
+        clock = [0.0]
+        durations = {True: iter(on), False: iter(off)}
+
+        def fn():
+            clock[0] += next(durations[obs.is_enabled()])
+            return 1
+
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+        return harness.time_obs_overhead(fn, len(off))
+
+    def test_median_ignores_one_outlier_on_either_side(self, monkeypatch):
+        # a slow obs-on run, then a fast obs-off run that alone would fail
+        # a comparison of best-of minima (1.0 / 0.8 = 1.25)
+        slow_on = [1.0] * 8 + [5.0] + [1.0] * 7
+        _, _, ratio, _ = self.timed(monkeypatch, slow_on, [1.0] * 15)
+        assert ratio == pytest.approx(1.0)
+        fast_off = [1.0] * 7 + [0.8] + [1.0] * 7
+        on, off, ratio, _ = self.timed(monkeypatch, [1.0] * 16, fast_off)
+        assert on / off == pytest.approx(1.25)
+        assert ratio == pytest.approx(1.0)
+
+    def test_uniform_slowdown_on_the_obs_side_fails_the_limit(self, monkeypatch):
+        _, _, ratio, _ = self.timed(monkeypatch, [1.1] * 16, [1.0] * 15)
+        assert ratio == pytest.approx(1.1)
+        assert ratio > harness.OBS_OVERHEAD_LIMIT
 
     def test_exception_leaves_obs_enabled(self):
         from repro import obs

@@ -50,7 +50,7 @@ def planner_calls(monkeypatch):
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        for expected in ("ps", "db", "ps-even", "treelet", "bruteforce"):
+        for expected in ("ps", "db", "ps-even", "bruteforce"):
             assert expected in names
 
     def test_unknown_method_raises(self, graph):
@@ -64,19 +64,19 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.register(SolverBackend("db"))
 
-    def test_auto_picks_treelet_for_trees(self, rng):
-        # only trees whose counts could overflow the sweep's int64 tables
-        # (max degree >= 12 makes 10-node paths fail the bound) leave it
+    def test_auto_picks_vec_for_trees(self, rng):
+        # trees stay on the sweep, also where 10-node paths could overflow
+        # int64 tables (max degree >= 12)
         dense = erdos_renyi(20, 0.8, rng, name="dense20")
         assert dense.max_degree() >= 12
         engine = CountingEngine(dense)
-        assert engine.count(path_query(10), trials=1, seed=0, method=AUTO).method == "treelet"
+        assert engine.count(path_query(10), trials=1, seed=0, method=AUTO).method == "ps-vec"
         tree = star_query(3, name="star3")
         cyc = paper_query("glet1")
         assert engine.count(tree, trials=1, seed=0, method=AUTO).method == "ps-vec"
         assert engine.count(cyc, trials=1, seed=0, method=AUTO).method == "ps-vec"
 
-    def test_auto_avoids_treelet_for_wide_palette(self, graph):
+    def test_auto_picks_vec_for_wide_palette(self, graph):
         engine = CountingEngine(graph)
         tree = path_query(4, name="p4")
         r = engine.count(tree, trials=1, seed=0, method=AUTO, num_colors=tree.k + 2)
@@ -204,12 +204,12 @@ class TestCountMany:
 class TestWorkersAndContexts:
     def test_workers_bit_identical(self, graph):
         """Whole trials on the pool equal the sequential run, and are
-        timed one by one, for dict, vectorized and treelet kernels."""
+        timed one by one, for dict, vectorized and plan-free kernels."""
         with CountingEngine(graph) as engine:
             for method, q in (
                 ("db", paper_query("glet1")),
                 ("ps-vec", paper_query("glet1")),
-                ("treelet", path_query(4)),
+                ("bruteforce", path_query(4)),
             ):
                 seq = engine.count(q, trials=4, seed=3, method=method)
                 par = engine.count(q, trials=4, seed=3, method=method, workers=2)
@@ -237,14 +237,6 @@ class TestWorkersAndContexts:
             engine.count(q, trials=1, plan=engine.plan_for(q))
         with pytest.raises(TypeError):
             engine.count(q, trials=1, ctx=engine.make_context(2))
-
-    def test_treelet_rejects_load_tracking(self, graph):
-        engine = CountingEngine(graph)
-        colors = np.zeros(graph.n, dtype=np.int64)
-        with pytest.raises(ValueError, match="simulated ranks"):
-            engine.count_colorful(
-                path_query(3), colors, method="treelet", ctx=engine.make_context(2)
-            )
 
     def test_zero_trials_rejected(self, graph):
         with pytest.raises(ValueError, match="at least one trial"):

@@ -146,7 +146,7 @@ class TestWholeTrials:
         # a trial that fails inside a worker is raised once the other
         # worker has answered, so the pipes stay in step
         with pytest.raises(ValueError, match="does not support"):
-            executor.run_trials(get_backend("treelet"), cycle_query(4), None, [good] * 3)
+            executor.run_trials(backend, cycle_query(4), None, [good] * 3, num_colors=63)
         ref = count_colorful_ps_vec(data_graph, q, good, plan=plan)
         got = executor.run_trials(backend, q, plan, [good, good])
         assert [count for count, _ in got] == [ref, ref]

@@ -5,14 +5,17 @@ treewidth-2 queries; the properties assert the algorithm-agreement and
 estimator invariants that the whole system rests on.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.counting.vectorized as vec
 from repro.counting import (
     count_colorful_db,
     count_colorful_matches,
     count_colorful_ps,
-    count_colorful_treelet,
+    count_colorful_ps_vec,
     count_matches,
 )
 from repro.graph import Graph
@@ -99,13 +102,17 @@ def test_colorful_bounded_by_matches(instance):
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(), st.integers(2, 5), st.data())
-def test_treelet_agrees_on_trees(g, k, data):
+def test_sweep_agrees_on_trees(g, k, data):
+    """The vectorized sweep counts trees exactly, with every join cut
+    into start-vertex ranges of at most 3 gathered rows."""
     q = path_query(k)
     colors = np.array(
         data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)),
         dtype=np.int64,
     )
-    assert count_colorful_treelet(g, q, colors) == count_colorful_matches(g, q, colors)
+    with mock.patch.object(vec, "_CHUNK_ROWS", 3):
+        got = count_colorful_ps_vec(g, q, colors)
+    assert got == count_colorful_matches(g, q, colors)
 
 
 @settings(max_examples=30, deadline=None)
