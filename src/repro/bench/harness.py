@@ -662,8 +662,7 @@ def run_scaling_bench(
         crit_by_w: Dict[int, float] = {}
         row: Dict[str, object] = {"key": f"scaling/{gname}/{qname}", "count": ref}
         for w in workers:
-            with ShardedExecutor(engine.graph, workers=w,
-                                 strategy=cfg.partition_strategy) as executor:
+            with ShardedExecutor(engine.graph, workers=w) as executor:
                 best_crit, best_wall, imbalance = math.inf, math.inf, 1.0
                 rows_exchanged = 0
                 for _ in range(max(1, repeats)):

@@ -129,7 +129,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             q = q.with_labels(_parse_query_labels(q, args.labels))
         precision = _parse_precision(args)
         trace: Optional[object] = None
-        with CountingEngine(g, partition_strategy=args.partition) as engine:
+        with CountingEngine(g) as engine:
             if args.trace:
                 # collect the measured trace around the whole run and dump
                 # it as one Chrome trace-event JSON (chrome://tracing,
@@ -294,8 +294,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="EngineConfig.workers: pooled processes that run whole trials, "
         "or shards with --method ps-dist (default: %(default)s)",
     )
-    parser.add_argument("--partition", choices=("block", "cyclic", "hash"), default="block",
-                        help="vertex partition strategy for ps-dist shards (default: %(default)s)")
     parser.add_argument("--verbose", action="store_true", help="log every HTTP request")
     parser.add_argument(
         "--access-log", action="store_true",
@@ -377,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes that run whole trials; with --method ps-dist, "
         "the number of shards (default: 1, sequential)",
-    )
-    p_count.add_argument(
-        "--partition", choices=("block", "cyclic", "hash"), default="block",
-        help="vertex partition strategy for ps-dist shards (default: block)",
     )
     p_count.add_argument(
         "--labels", default=None, metavar="SPEC",

@@ -68,6 +68,7 @@ __all__ = [
     "VecPathTable",
     "VectorizedSolver",
     "solve_plan_vectorized",
+    "trial_input",
     "count_colorful_ps_vec",
     "MAX_COLORS_VEC",
 ]
@@ -267,9 +268,6 @@ class VecBinaryTable:
         (u, v, sig), cnt = _group_sum((self.v, self.u, self.sig), self.cnt)
         return VecBinaryTable((self.boundary[1], self.boundary[0]), u, v, sig, cnt)
 
-    def total(self) -> int:
-        return int(np.sum(self.cnt)) if len(self.cnt) else 0
-
     def __len__(self) -> int:
         return len(self.cnt)
 
@@ -297,20 +295,23 @@ class VecPathTable:
 class VectorizedSolver:
     """Bottom-up PS plan solver over array tables (one pass per block).
 
-    ``start_mask`` restricts every path sweep to rows whose *start* image
-    lies in the mask.  Extensions and node joins never change a row's
-    start vertex and the cycle merge joins rows sharing their start, so a
-    masked solve produces exactly the rows of the unmasked solve whose
-    key vertex is owned by the mask — the shard invariant the ``ps-dist``
-    executor builds on.  Child tables must then cover *all* vertices:
-    :meth:`inject` installs externally combined (full) child results.
+    ``start_range=(lo, hi)`` (default ``(0, g.n)``) restricts every path
+    sweep to rows whose *start* image lies in ``[lo, hi)``.  Extensions
+    and node joins never change a row's start vertex, the cycle merge
+    joins rows sharing their start, and every output table keeps the
+    start vertex as its leading key, so a range solve produces exactly
+    the rows of the full solve that start in the range — the tables of
+    consecutive ranges concatenate into the full table.  This is the
+    shard the ``ps-dist`` executor runs on each worker.  Child tables
+    must then cover *all* vertices: :meth:`inject` installs externally
+    combined (full) child results.
 
     ``exact=True`` seeds the count column as a NumPy object array of
     Python ints, which every join inherits and no guard checks: the rerun
     a trial takes when an ``int64`` guard trips.  Key columns stay int64.
 
-    All inputs — CSR arrays, the coloring, shard and label masks — are
-    converted to int64/bool arrays here, once per solver.
+    All inputs — CSR arrays, the coloring, label masks — are converted to
+    int64/bool arrays here, once per solver.
     """
 
     def __init__(
@@ -318,7 +319,7 @@ class VectorizedSolver:
         g: Graph,
         colors: np.ndarray,
         k: int,
-        start_mask: Optional[np.ndarray] = None,
+        start_range: Optional[Tuple[int, int]] = None,
         vertex_ok: Optional[Dict[Node, np.ndarray]] = None,
         *,
         exact: bool = False,
@@ -331,9 +332,7 @@ class VectorizedSolver:
         self._degrees = np.asarray(g.degrees, dtype=np.int64)
         self.colors = np.asarray(colors, dtype=np.int64)
         self.k = k
-        self.start_mask = (
-            np.asarray(start_mask, dtype=np.bool_) if start_mask is not None else None
-        )
+        self.start_range = start_range if start_range is not None else (0, g.n)
         #: label-compatibility masks for labeled queries (empty = unlabeled)
         self.vertex_ok = {
             node: np.asarray(mask, dtype=np.bool_)
@@ -373,34 +372,33 @@ class VectorizedSolver:
         ok_u: Optional[np.ndarray] = None,
         ok_v: Optional[np.ndarray] = None,
     ) -> VecPathTable:
-        """Seed cnt(u, v, {χu, χv}) = 1 from every directed edge, batched.
+        """Seed cnt(u, v, {χu, χv}) = 1 from every directed edge out of the
+        start range, batched.
 
-        The repeat/gather over ``indptr`` emits all directed edges at
-        once; rows arrive already sorted by ``(u, v)`` because CSR slices
-        are sorted.  With ``start_mask`` only edges whose start vertex is
-        in the mask are seeded — the shard-restricted sweep used by the
-        ``ps-dist`` executor.  ``ok_u``/``ok_v`` are the label-
+        The range's start vertices own one contiguous slice of the CSR,
+        so one repeat over their degrees against that slice emits their
+        directed edges at once; rows arrive already sorted by ``(u, v)``
+        because CSR slices are sorted.  ``ok_u``/``ok_v`` are the label-
         compatibility masks of the path's first two query nodes.
         """
         colors, bit = self.colors, self.bit
-        u = np.repeat(np.arange(self.g.n, dtype=np.int64), self._degrees)
-        keep = colors[u] != colors[self._indices]
-        if self.start_mask is not None:
-            keep &= self.start_mask[u]
+        lo, hi = self.start_range
+        u = np.repeat(np.arange(lo, hi, dtype=np.int64), self._degrees[lo:hi])
+        v = self._indices[self._indptr[lo]:self._indptr[hi]]
+        keep = colors[u] != colors[v]
         if ok_u is not None:
             keep &= ok_u[u]
         if ok_v is not None:
-            keep &= ok_v[self._indices]
-        u, v = u[keep], self._indices[keep]
+            keep &= ok_v[v]
+        u, v = u[keep], v[keep]
         cnt = np.ones(len(u), dtype=object if self.exact else np.int64)
         return VecPathTable(u, v, bit[u] | bit[v], cnt)
 
     def _init_from_child(self, child: VecBinaryTable) -> VecPathTable:
-        """Seed from an annotated edge's child projection table (copy-free)."""
-        if self.start_mask is None:
-            return VecPathTable(child.u, child.v, child.sig, child.cnt)
-        keep = self.start_mask[child.u]
-        return VecPathTable(child.u[keep], child.v[keep], child.sig[keep], child.cnt[keep])
+        """Seed from the start range's rows of an annotated edge's child
+        projection table (sorted by ``u``, so slices: copy-free)."""
+        a, b = np.searchsorted(child.u, self.start_range)
+        return VecPathTable(child.u[a:b], child.v[a:b], child.sig[a:b], child.cnt[a:b])
 
     def _extend_with_graph(
         self, t: VecPathTable, ok_w: Optional[np.ndarray] = None
@@ -644,6 +642,42 @@ class VectorizedSolver:
         return self._merge_paths(tplus, tminus, boundary)
 
 
+def trial_input(
+    g: Graph,
+    query: QueryGraph,
+    colors: Sequence[int],
+    num_colors: Optional[int] = None,
+    *,
+    cap: bool = True,
+) -> Tuple[np.ndarray, Optional[Dict[Node, np.ndarray]], Optional[int]]:
+    """Check one trial's input; return ``(colors, vertex_ok, count)``.
+
+    ``colors`` comes back as int64, checked against ``g`` and a palette of
+    ``num_colors`` (default ``k``) colors; ``cap`` also holds the palette
+    to :data:`MAX_COLORS_VEC`, the width of a signature (whole trials on
+    other backends pass ``cap=False``).  ``vertex_ok`` is the query's
+    label masks (:func:`label_masks`, which refuses a labeled query on an
+    unlabeled graph).  ``count`` answers a one-node query, which no block
+    solves, outright; it is ``None`` for every other query.
+    """
+    k = query.k
+    kc = num_colors if num_colors is not None else k
+    if kc < k:
+        raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
+    if cap and kc > MAX_COLORS_VEC:
+        raise ValueError(f"the sweep packs signatures in int64; num_colors <= {MAX_COLORS_VEC}")
+    arr = np.asarray(colors, dtype=np.int64)
+    if len(arr) != g.n:
+        raise ValueError("coloring must assign a color to every data vertex")
+    if k > 0 and len(arr) and (int(np.min(arr)) < 0 or int(np.max(arr)) >= kc):
+        raise ValueError(f"colors must lie in [0, {kc})")
+    vertex_ok = label_masks(g, query)
+    count = None
+    if k == 1:
+        count = int(next(iter(vertex_ok.values())).sum()) if vertex_ok else g.n
+    return arr, vertex_ok, count
+
+
 def solve_plan_vectorized(
     plan: Plan,
     g: Graph,
@@ -658,28 +692,13 @@ def solve_plan_vectorized(
     trips, once more with Python-int counts.  No per-rank load attribution
     is available — use the dict kernels for simulated-rank experiments.
     """
-    colors = np.asarray(colors, dtype=np.int64)
-    k = plan.query.k
-    kc = num_colors if num_colors is not None else k
-    if kc < k:
-        raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
-    if kc > MAX_COLORS_VEC:
-        raise ValueError(f"ps-vec packs signatures in int64; num_colors <= {MAX_COLORS_VEC}")
-    if len(colors) != g.n:
-        raise ValueError("coloring must assign a color to every data vertex")
-    if k > 0 and len(colors) and (int(np.min(colors)) < 0 or int(np.max(colors)) >= kc):
-        raise ValueError(f"colors must lie in [0, {kc})")
-    vertex_ok = label_masks(g, plan.query)
-
+    colors, vertex_ok, count = trial_input(g, plan.query, colors, num_colors)
+    if count is not None:
+        return count
     root = plan.root
-    if root.kind == SINGLETON and not root.node_ann:
-        if vertex_ok:
-            (mask,) = vertex_ok.values()
-            return int(mask.sum())
-        return g.n
 
     def sweep(exact: bool) -> int:
-        solver = VectorizedSolver(g, colors, k, vertex_ok=vertex_ok, exact=exact)
+        solver = VectorizedSolver(g, colors, plan.query.k, vertex_ok=vertex_ok, exact=exact)
         if root.kind == SINGLETON:
             (child,) = root.node_ann.values()
             return solver.solve(child).total()

@@ -6,7 +6,10 @@ independent) colorful count and the per-rank load statistics from which
 the scaling figures are derived.  The same :class:`LoadStats` is the
 *predicted* cost model for the real sharded executor
 (:mod:`repro.distributed.executor`), whose measured per-rank
-:class:`WallStats` it can be compared against on the same partition.
+:class:`WallStats` it can be compared against: the counts agree, the
+per-rank splits do not (simulated ranks own vertices by ``strategy``,
+``block`` by default; shards take start-vertex ranges cut at equal edge
+shares).
 """
 
 from __future__ import annotations

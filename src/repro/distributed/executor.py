@@ -1,18 +1,20 @@
 """Real sharded multiprocess executor for the vectorized PS dynamic program.
 
-This is the ``ps-dist`` backend: the data graph's vertices are
-partitioned across N worker *processes* (reusing the
-:mod:`repro.distributed.partition` strategies), each worker runs the
-shard-restricted vectorized PS sweep over the rows whose path-start
-vertex it owns, and between supersteps the per-shard boundary table
-slices are exchanged through the master and re-combined into the full
-projection tables every rank needs for its next join.  Summing the
-per-shard results reproduces the sequential ``ps``/``ps-vec`` count **bit
-for bit**: integer table sums are exact, and the shard invariant (path
-extensions never change a row's start vertex) puts every table row in
-exactly one shard.  Inside a worker the sweep chunks its joins by start
-vertex exactly as ``ps-vec`` does, and a trial whose ``int64`` guard
-trips anywhere reruns on every worker with Python-int counts.
+This is the ``ps-dist`` backend: the data graph's start vertices are
+cut into one contiguous range per worker *process*, at equal shares of
+the CSR's edge endpoints (:func:`_shard_cuts`), each worker runs the
+vectorized PS sweep over the rows whose path-start vertex lies in its
+range, and between supersteps the per-shard boundary tables are
+exchanged through the master and concatenated into the full projection
+tables every rank needs for its next join.  The result is the sequential
+``ps``/``ps-vec`` count **bit for bit**: path extensions never change a
+row's start vertex, so every table row lies in exactly one shard, and
+every table keeps that vertex as its leading key, so shards in range
+order concatenate into the full sorted table.  Inside a worker the sweep
+chunks its joins by start vertex exactly as ``ps-vec`` does — a shard is
+a run of ``ps-vec``'s chunks on a pooled worker — and a trial whose
+``int64`` guard trips anywhere reruns on every worker with Python-int
+counts.
 
 The same pool also runs whole trials (:meth:`ShardedExecutor.run_trials`):
 that is how the engine runs ``workers > 1`` for every other backend.
@@ -34,7 +36,9 @@ Each worker reports per-stage CPU and wall seconds, collected into a
 :class:`repro.distributed.runtime.WallStats` — the *measured* side of the
 runtime.  The simulated :class:`LoadStats` accounting stays as the
 *predicted* cost model: :func:`repro.distributed.engine.run_distributed`
-(``method="ps"``, same partition strategy) predicts the same coloring.
+(``method="ps"``) predicts the same coloring on the paper's vertex-block
+partition and ownership rule.  The two agree on counts, not on per-rank
+splits: shards are cut by edge share, simulated ranks by vertex count.
 """
 
 
@@ -54,17 +58,15 @@ from .. import obs
 from ..obs import catalogue as obs_catalogue
 from ..counting.labels import label_masks_from_arrays
 from ..counting.vectorized import (
-    MAX_COLORS_VEC,
     VecBinaryTable,
     VecUnaryTable,
     VectorizedSolver,
-    _group_sum,
+    trial_input,
 )
 from ..decomposition.blocks import LEAF, SINGLETON
 from ..decomposition.tree import Plan
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
-from .partition import make_partition
 from .runtime import WallStats
 
 if TYPE_CHECKING:  # pragma: no cover - the engine layer sits above this one
@@ -111,34 +113,38 @@ def _payload_rows(payload: tuple) -> int:
 
 
 def _combine_shards(payloads: Sequence[tuple]) -> object:
-    """Reduce per-rank shards into the full table (or total count).
+    """Join per-rank shards, in rank order, into the full table (or count).
 
-    Shard keys may overlap when a block's output is keyed by a path *end*
-    vertex, so the concatenation is re-aggregated with the same
-    lexsort + segment-sum the sequential kernels use — the combined table
-    is bit-identical to the one the unsharded solver builds, including
-    the int64 overflow guards (which skip exact, Python-int shards).
-    Scalar shard counts are Python ints, summed exactly.
+    Rank ``r``'s shard holds exactly the rows of the full table whose
+    start vertex ``u`` lies in its range ``[cuts[r], cuts[r+1])``: leaves
+    key on ``(u, sig)`` and cycles on ``(u, sig)`` or ``(u, v, sig)``.
+    Each shard is sorted and unique and the ranges tile ``[0, n)`` in
+    rank order, so the concatenation is the sorted, unique table the
+    unsharded solver builds.  It adds no counts, so it needs no overflow
+    guard.  Scalar shard counts are Python ints, summed exactly.
     """
     kind = payloads[0][0]
     if any(p[0] != kind for p in payloads):  # pragma: no cover - protocol bug guard
         raise RuntimeError("mixed shard payload kinds")
     if kind == "count":
         return sum(p[1] for p in payloads)
-    if kind == "unary":
-        boundary = payloads[0][1]
-        u = np.concatenate([p[2] for p in payloads])
-        sig = np.concatenate([p[3] for p in payloads])
-        cnt = np.concatenate([p[4] for p in payloads])
-        (u, sig), cnt = _group_sum((u, sig), cnt)
-        return VecUnaryTable(boundary, u, sig, cnt)
-    boundary = payloads[0][1]
-    u = np.concatenate([p[2] for p in payloads])
-    v = np.concatenate([p[3] for p in payloads])
-    sig = np.concatenate([p[4] for p in payloads])
-    cnt = np.concatenate([p[5] for p in payloads])
-    (u, v, sig), cnt = _group_sum((u, v, sig), cnt)
-    return VecBinaryTable(boundary, u, v, sig, cnt)
+    cols = [np.concatenate(col) for col in zip(*(p[2:] for p in payloads))]
+    return _unpack((kind, payloads[0][1], *cols))
+
+
+def _shard_cuts(indptr: np.ndarray, nranks: int) -> np.ndarray:
+    """Start-vertex cuts ``[0, ..., n]``: shard ``r`` owns ``[cuts[r], cuts[r+1])``.
+
+    Cut ``r`` is the first vertex whose CSR row starts at or past the
+    ``r/R`` share of the edge endpoints, so each shard holds at most
+    ``ceil(2m/R)`` endpoints plus one vertex's degree, wherever the hubs
+    sit in the vertex order.  Zero-degree vertices after the last edge
+    fall past every share, so the last cut is pinned to ``n``.
+    """
+    share = np.arange(nranks + 1, dtype=np.int64) * int(indptr[-1]) // nranks
+    cuts = np.searchsorted(indptr, share)
+    cuts[-1] = len(indptr) - 1
+    return cuts
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +184,13 @@ def _drain_events() -> List[Dict[str, object]]:
 def _worker_main(
     conn: Connection,
     rank: int,
-    nranks: int,
-    strategy: str,
+    start_range: Tuple[int, int],
     shm_names: Sequence[str],
     n: int,
     nnz: int,
     has_labels: bool,
 ) -> None:  # pragma: no cover - exercised in subprocesses
-    """Worker loop: solve shard-restricted blocks on request.
+    """Worker loop: solve blocks over the start vertices in ``start_range``.
 
     Protocol (master → worker): ``("plan", key, plan)`` registers a plan,
     ``("trial", key, k, qlabels, trace_id, exact)`` starts a trial (fresh
@@ -211,7 +216,6 @@ def _worker_main(
         np.ndarray((n,), dtype=np.int64, buffer=shms[3].buf) if has_labels else None
     )
     g = Graph.wrap_csr(indptr, indices, labels)
-    start_mask = make_partition(n, nranks, strategy).owners == rank
     plans: Dict[int, Plan] = {}
     blocks: Optional[List] = None
     solver: Optional[VectorizedSolver] = None
@@ -237,7 +241,7 @@ def _worker_main(
                         g,
                         colors,
                         msg[2],
-                        start_mask=start_mask,
+                        start_range=start_range,
                         vertex_ok=label_masks_from_arrays(labels, msg[3]),
                         exact=msg[5],
                     )
@@ -346,23 +350,20 @@ class ShardedExecutor:
     :meth:`close` or a ``with`` block; a dropped executor is reclaimed by
     a finalizer (workers are daemons, segments are unlinked).
 
-    ``strategy`` picks the vertex partition (``block`` — the paper's
-    choice — ``cyclic`` or ``hash``); the partition decides both shard
-    load balance and which table rows each rank produces.
+    Worker ``r`` shards :meth:`count` over the start vertices
+    ``[cuts[r], cuts[r+1])`` (:func:`_shard_cuts`, equal edge shares).
     """
 
-    def __init__(self, graph: Graph, workers: int, strategy: str = "block") -> None:
+    def __init__(self, graph: Graph, workers: int) -> None:
         nranks = int(workers)
         if nranks < 1:
             raise ValueError("need at least one worker")
-        # validate the strategy eagerly, before processes exist
-        make_partition(graph.n, nranks, strategy)
         self.graph = graph
         self.nranks = nranks
-        self.strategy = strategy
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
         indptr, indices = graph.to_csr()
+        cuts = _shard_cuts(indptr, nranks)
         has_labels = graph.labels is not None
         shm_ip, _ = _share_array(indptr)
         shm_ix, _ = _share_array(indices)
@@ -384,7 +385,7 @@ class ShardedExecutor:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        child, rank, nranks, strategy, names,
+                        child, rank, (int(cuts[rank]), int(cuts[rank + 1])), names,
                         graph.n, len(indices), has_labels,
                     ),
                     daemon=True,
@@ -483,18 +484,6 @@ class ShardedExecutor:
             raise error
         return shards
 
-    def _coloring(self, colors: Sequence[int], k: int, num_colors: Optional[int]) -> np.ndarray:
-        """``colors`` as int64, checked against the graph and the palette."""
-        kc = num_colors if num_colors is not None else k
-        if kc < k:
-            raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
-        arr = np.asarray(colors, dtype=np.int64)
-        if len(arr) != self.graph.n:
-            raise ValueError("coloring must assign a color to every data vertex")
-        if k > 0 and arr.size and (arr.min() < 0 or arr.max() >= kc):
-            raise ValueError(f"colors must lie in [0, {kc})")
-        return arr
-
     # ------------------------------------------------------------------
     def count(
         self,
@@ -511,31 +500,14 @@ class ShardedExecutor:
         """
         if self.closed:
             raise RuntimeError("executor is closed")
-        k = plan.query.k
-        colors = self._coloring(colors, k, num_colors)
-        if (num_colors if num_colors is not None else k) > MAX_COLORS_VEC:
-            raise ValueError(
-                f"ps-dist packs signatures in int64; num_colors <= {MAX_COLORS_VEC}"
-            )
-        qlabels = plan.query.labels
-        if qlabels is not None and self.graph.labels is None:
-            raise ValueError(
-                "labeled query requires a labeled data graph (Graph(labels=...))"
-            )
+        colors, _, single = trial_input(self.graph, plan.query, colors, num_colors)
 
         with self._run_lock:
             t0 = time.perf_counter()
-            root = plan.root
-            if root.kind == LEAF:  # pragma: no cover - planner never roots a leaf
+            if plan.root.kind == LEAF:  # pragma: no cover - planner never roots a leaf
                 raise ValueError("plan root must be a cycle or singleton block")
-            if root.kind == SINGLETON and not root.node_ann:
-                if qlabels:
-                    # single-node labeled query: count compatible vertices
-                    (lab,) = qlabels.values()
-                    count = int((self.graph.labels == int(lab)).sum())
-                else:
-                    count = self.graph.n
-                stats = WallStats(self.nranks)
+            if single is not None:
+                count, stats = single, WallStats(self.nranks)
             else:
                 key = self._register_plan_locked(plan)
                 self._colors_view[:] = colors
@@ -611,7 +583,10 @@ class ShardedExecutor:
         """
         if self.closed:
             raise RuntimeError("executor is closed")
-        trials = [self._coloring(c, query.k, num_colors) for c in colorings]
+        # whole trials may run a backend without the sweep's palette cap
+        trials = [
+            trial_input(self.graph, query, c, num_colors, cap=False)[0] for c in colorings
+        ]
         results: List[Tuple[int, float]] = [(0, 0.0)] * len(trials)
         error: Optional[BaseException] = None
         with self._run_lock:
@@ -657,7 +632,6 @@ class ShardedExecutor:
         # must answer immediately; a stale integer is acceptable here.
         return {
             "workers": self.nranks,
-            "strategy": self.strategy,
             "closed": self.closed,
             "plans_registered": len(self._plans),  # repro: allow[RP003]
             "runs": self._runs,  # repro: allow[RP003]
@@ -665,7 +639,4 @@ class ShardedExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"
-        return (
-            f"ShardedExecutor(n={self.graph.n}, workers={self.nranks}, "
-            f"strategy={self.strategy!r}, {state})"
-        )
+        return f"ShardedExecutor(n={self.graph.n}, workers={self.nranks}, {state})"

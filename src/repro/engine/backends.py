@@ -175,11 +175,11 @@ class VectorizedBackend(CountingBackend):
 class DistributedBackend(CountingBackend):
     """``ps-dist`` — the vectorized PS DP sharded across worker processes.
 
-    Partitions the data graph's vertices over real OS processes
-    (shared-memory CSR, boundary table exchange between supersteps) and
-    reduces per-shard results to a count bit-identical to ``ps``/
-    ``ps-vec``.  The ``distributed`` flag tells the engine to interpret
-    ``workers`` as the shard count and to pass its pooled
+    Cuts the data graph's start vertices into one range per real OS
+    process (shared-memory CSR, boundary table exchange between
+    supersteps) and joins per-shard results into a count bit-identical
+    to ``ps``/``ps-vec``.  The ``distributed`` flag tells the engine to
+    interpret ``workers`` as the shard count and to pass its pooled
     :class:`~repro.distributed.executor.ShardedExecutor` in.
     """
 

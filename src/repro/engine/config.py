@@ -149,9 +149,8 @@ class EngineConfig:
 
     ``workers`` sizes the engine's pooled worker processes: ordinary
     backends run whole trials on them; for the distributed ``ps-dist``
-    backend it is the shard count and ``partition_strategy`` picks how
-    vertices map to shard processes (and to the simulated ranks of
-    :meth:`CountingEngine.make_context`).
+    backend it is the shard count, and each shard process takes one
+    range of start vertices cut at equal edge shares.
     """
 
     method: str = "auto"
@@ -159,7 +158,6 @@ class EngineConfig:
     seed: int = 0
     num_colors: Optional[int] = None
     workers: int = 1
-    partition_strategy: str = "block"
     coloring_strategy: str = "uniform"
     #: engine-wide trial policy; ``None`` keeps the bare ``trials`` knob
     #: as the policy (``PrecisionSpec.fixed(trials)``).  When set, every

@@ -201,7 +201,7 @@ class CountingEngine:
         # Plan object — which a pooled ShardedExecutor would pin and
         # re-broadcast to its workers on every call.
         self._reroot_cache: Dict[Tuple[int, object], Tuple[Plan, Plan]] = {}
-        self._executor_cache: Dict[Tuple[int, str], "ShardedExecutor"] = {}
+        self._executor_cache: Dict[int, "ShardedExecutor"] = {}
         # engines are shared across threads (the service's job workers):
         # _cache_lock guards the plan/partition caches and the stats
         # counters (so "planned exactly once per engine" and the exact
@@ -271,9 +271,9 @@ class CountingEngine:
             hit = self._reroot_cache.setdefault(key, (plan, rerooted))
         return hit[1]
 
-    def partition_for(self, nranks: int, strategy: Optional[str] = None) -> Partition:
-        """The cached vertex partition for ``(nranks, strategy)``."""
-        strategy = strategy or self.config.partition_strategy
+    def partition_for(self, nranks: int, strategy: str = "block") -> Partition:
+        """The cached simulated-rank vertex partition for ``(nranks, strategy)``
+        (``block`` is the paper's)."""
         key = (nranks, strategy)
         with self._cache_lock:
             part = self._partition_cache.get(key)
@@ -290,8 +290,8 @@ class CountingEngine:
         :meth:`count_colorful`'s per-rank accounting (``ctx.stats``)."""
         return ExecutionContext(self.partition_for(nranks), track=track)
 
-    def executor_for(self, workers: int, strategy: Optional[str] = None) -> "ShardedExecutor":
-        """The cached live :class:`ShardedExecutor` for ``(workers, strategy)``.
+    def executor_for(self, workers: int) -> "ShardedExecutor":
+        """The cached live :class:`ShardedExecutor` with ``workers`` processes.
 
         Worker pools are expensive to start, so the engine keeps them
         alive across requests and trials; :meth:`close` (or leaving an
@@ -300,13 +300,11 @@ class CountingEngine:
         """
         from ..distributed.executor import ShardedExecutor
 
-        strategy = strategy or self.config.partition_strategy
-        key = (workers, strategy)
         with self._executor_lock:
-            executor = self._executor_cache.get(key)
+            executor = self._executor_cache.get(workers)
             if executor is None or executor.closed:
-                executor = ShardedExecutor(self.graph, workers=workers, strategy=strategy)
-                self._executor_cache[key] = executor
+                executor = ShardedExecutor(self.graph, workers=workers)
+                self._executor_cache[workers] = executor
             return executor
 
     def executors(self) -> List["ShardedExecutor"]:

@@ -73,10 +73,7 @@ def canonical_request(
 
     ``request`` is resolved against ``config`` (default
     :class:`EngineConfig`) first, so a request that *inherits* ``seed=0``
-    and one that *states* ``seed=0`` canonicalise identically.  The one
-    engine field that shapes the result payload beyond the request
-    itself (the partition strategy for distributed shards) comes from
-    the config.
+    and one that *states* ``seed=0`` canonicalise identically.
 
     The trial policy canonicalises through
     :meth:`~repro.engine.config.CountRequest.effective_precision`:
@@ -95,7 +92,6 @@ def canonical_request(
         # request-level labels are folded into the canonical query — the
         # engine executes exactly this effective query
         "query": canonical_query(resolved.effective_query()),
-        "partition_strategy": cfg.partition_strategy,
     }
     for field in _FINGERPRINT_FIELDS:
         doc[field] = getattr(resolved, field)

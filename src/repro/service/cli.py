@@ -8,8 +8,8 @@ Examples::
 
 ``--workers``/``--queue-depth``/``--cache-size`` size the service
 (execution threads, admission bound, LRU entries); ``--method``,
-``--trials``, ``--seed``, ``--engine-workers`` and ``--partition`` set
-the :class:`EngineConfig` defaults every request inherits.  SIGINT and
+``--trials``, ``--seed`` and ``--engine-workers`` set the
+:class:`EngineConfig` defaults every request inherits.  SIGINT and
 SIGTERM shut down cleanly: the HTTP server stops accepting, the job
 queue drains, and every engine's shard-worker pool (and its
 shared-memory segments) is released before exit.
@@ -47,7 +47,6 @@ def run_serve(
         trials=args.trials,
         seed=args.seed,
         workers=args.engine_workers,
-        partition_strategy=args.partition,
     )
     registry = DatasetRegistry(config)
     for spec in args.datasets or ["condmat"]:

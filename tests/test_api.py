@@ -45,8 +45,8 @@ class TestMakeContext:
 
     def test_strategy_forwarded(self, rng):
         g = erdos_renyi(20, 0.3, rng)
-        ctx = CountingEngine(g, partition_strategy="cyclic").make_context(nranks=2)
-        assert list(ctx.partition.owners[:4]) == [0, 1, 0, 1]
+        part = CountingEngine(g).partition_for(2, "cyclic")
+        assert list(part.owners[:4]) == [0, 1, 0, 1]
 
     def test_context_used_by_engine(self, rng):
         g = erdos_renyi(20, 0.3, rng)

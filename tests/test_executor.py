@@ -34,14 +34,14 @@ class TestShardedParity:
             got = executor.count(plan, colors)
             assert got.count == ref, name
 
-    def test_parity_across_partition_strategies(self, data_graph):
+    def test_parity_across_shard_counts(self, data_graph):
         q = paper_query("wiki")
         plan = heuristic_plan(q)
         colors = uniform_coloring(data_graph.n, q.k, np.random.default_rng(3))
         ref = count_colorful_ps_vec(data_graph, q, colors, plan=plan)
-        for strategy in ("block", "cyclic", "hash"):
-            with ShardedExecutor(data_graph, workers=3, strategy=strategy) as ex:
-                assert ex.count(plan, colors).count == ref, strategy
+        for workers in (1, 3, 4):
+            with ShardedExecutor(data_graph, workers=workers) as ex:
+                assert ex.count(plan, colors).count == ref, workers
 
     def test_more_ranks_than_vertices(self):
         g = Graph(3, [(0, 1), (1, 2)], name="tiny")
@@ -116,10 +116,6 @@ class TestExecutorLifecycle:
     def test_zero_workers_rejected(self, data_graph):
         with pytest.raises(ValueError, match="at least one worker"):
             ShardedExecutor(data_graph, workers=0)
-
-    def test_unknown_strategy_rejected_eagerly(self, data_graph):
-        with pytest.raises(ValueError, match="unknown partition"):
-            ShardedExecutor(data_graph, workers=2, strategy="zigzag")
 
 
 class TestWholeTrials:
@@ -209,7 +205,10 @@ class TestMeasuredStats:
 
     def test_run_sharded_predicted_and_measured(self, data_graph, executor):
         """One sharded coloring: the executor's measured WallStats beside
-        the simulated PS LoadStats prediction on the same partition."""
+        the simulated PS LoadStats prediction.  The simulated side keeps
+        the paper's block partition and ownership rule while shards are
+        cut by edge share, so the two agree on counts, not on per-rank
+        splits."""
         q = paper_query("youtube")
         plan = heuristic_plan(q)
         colors = uniform_coloring(data_graph.n, q.k, np.random.default_rng(10))
@@ -319,11 +318,18 @@ class TestCLI:
         assert "method         : ps-dist" in out
         assert "workers=2" in out
 
-    def test_count_partition_knob(self, capsys):
+    def test_partition_flag_is_gone(self, capsys):
+        """Shards are cut at equal edge shares: no strategy to pick."""
         from repro.cli import main
+        from repro.service.cli import main as serve_main
 
-        assert main([
-            "count", "--graph", "condmat", "--query", "glet1",
-            "--method", "ps-dist", "--workers", "2", "--trials", "1",
-            "--partition", "hash",
-        ]) == 0
+        for run, argv in (
+            (main, ["count", "--graph", "condmat", "--query", "glet1",
+                    "--method", "ps-dist", "--workers", "2", "--partition", "hash"]),
+            (main, ["serve", "--partition", "hash"]),
+            (serve_main, ["--partition", "hash"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, argv
+            assert "--partition" in capsys.readouterr().err

@@ -1,11 +1,14 @@
-"""The vectorized sweep's two bounds: chunked gathers and exact counts.
+"""The vectorized sweep's two bounds, and its one shard model.
 
 Every join gathers over ranges of input rows cut where the start vertex
 changes, under a row budget (``vectorized._CHUNK_ROWS``), so memory stays
 bounded however large the tables grow.  A trial whose ``int64`` guard
 trips reruns with Python-int counts, so counts past ``int64`` are exact.
 Both must leave every count equal to the dict ``ps`` kernels', on
-``ps-vec`` and on the sharded ``ps-dist``.
+``ps-vec`` and on the sharded ``ps-dist``.  A ``ps-dist`` shard is a
+range of start vertices (``VectorizedSolver(start_range=...)``) cut at
+equal shares of the edge endpoints; the range tables concatenate, in
+range order, into the unsharded table.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import numpy as np
 import pytest
 
 import repro.counting.vectorized as vec
+import repro.distributed.executor as executor_mod
 from repro.counting import coloring_batch
 from repro.counting.solver import solve_plan
-from repro.counting.vectorized import VectorizedSolver, solve_plan_vectorized
+from repro.counting.vectorized import VectorizedSolver, VecUnaryTable, solve_plan_vectorized
+from repro.decomposition.blocks import SINGLETON
 from repro.decomposition.planner import heuristic_plan
 from repro.distributed.executor import ShardedExecutor
 from repro.engine import CountingEngine
-from repro.graph import erdos_renyi
+from repro.graph import Graph, erdos_renyi
 from repro.query.library import all_fixture_queries, paper_queries, path_query
 
 
@@ -44,6 +49,18 @@ def fixture_cases(graph):
 def dense70():
     """G(70, 0.6): a 10-node path's counts trip the int64 guards."""
     return erdos_renyi(70, 0.6, np.random.default_rng(0), name="er70")
+
+
+def hubs_first(n=40, hubs=4):
+    """``hubs`` vertices adjacent to all others, numbered first, plus a
+    path through the rest."""
+    edges = [(h, v) for h in range(hubs) for v in range(h + 1, n)]
+    edges += [(v, v + 1) for v in range(hubs, n - 1)]
+    return Graph(n, edges, name="hubs-first")
+
+
+def shard_cuts(g, nranks):
+    return executor_mod._shard_cuts(g.to_csr().indptr, nranks)
 
 
 def ps_count(g, plan, colors, num_colors=None):
@@ -158,3 +175,83 @@ class TestExactCounts:
                 assert executor.count(plan, colors).count == want, q.name
                 # ps-vec: an int64 solver, then the exact one; ps-dist likewise
                 assert flags == [False, True, False, True], q.name
+
+
+class TestStartRanges:
+    """A solve over each shard's start range, concatenated in range
+    order, is the unsharded solve: the same rows, in the same order,
+    with the same counts."""
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_range_tables_concatenate_to_the_full_table(
+        self, graph, fixture_cases, budget, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(vec, "_CHUNK_ROWS", budget)
+        for nranks in (1, 2, 3, 30):
+            cuts = shard_cuts(graph, nranks)
+            ranges = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            if nranks > graph.n:
+                assert any(lo == hi for lo, hi in ranges)
+            for q, plan, colors, _ in fixture_cases:
+                full = VectorizedSolver(graph, colors, q.k)
+                shards = [VectorizedSolver(graph, colors, q.k, start_range=r) for r in ranges]
+                for block in plan.blocks():
+                    if block.kind == SINGLETON:
+                        continue
+                    want = full.solve(block)
+                    parts = []
+                    for (lo, hi), shard in zip(ranges, shards):
+                        part = shard.solve(block)
+                        if not isinstance(part, int):
+                            assert np.all((part.u >= lo) & (part.u < hi)), q.name
+                        parts.append(part)
+                        # the executor's exchange: parents join full tables
+                        shard.inject(block, want)
+                    if isinstance(want, int):
+                        assert sum(parts) == want, q.name
+                        continue
+                    cols = ("u", "sig", "cnt") if isinstance(want, VecUnaryTable) else (
+                        "u", "v", "sig", "cnt"
+                    )
+                    for col in cols:
+                        got = np.concatenate([getattr(p, col) for p in parts])
+                        assert np.array_equal(got, getattr(want, col)), (q.name, nranks, col)
+
+
+class TestShardCuts:
+    """``_shard_cuts``: one contiguous start range per shard, at equal
+    shares of the CSR's edge endpoints."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, graph):
+        return [
+            graph,
+            hubs_first(),
+            Graph(0, []),
+            Graph(5, [], name="edgeless"),
+            Graph(6, [(0, 1), (1, 2)], name="isolated-tail"),
+            erdos_renyi(50, 0.1, np.random.default_rng(3), name="er50"),
+        ]
+
+    def test_cuts_tile_the_vertices(self, graphs):
+        for g in graphs:
+            for nranks in (1, 2, 3, 7, 30):
+                cuts = shard_cuts(g, nranks)
+                assert len(cuts) == nranks + 1, g.name
+                assert cuts[0] == 0 and cuts[-1] == g.n, g.name
+                assert np.all(np.diff(cuts) >= 0), g.name
+
+    def test_no_shard_exceeds_its_edge_share_by_more_than_one_degree(self, graphs):
+        for g in graphs:
+            indptr = g.to_csr().indptr
+            max_degree = int(np.max(g.degrees)) if g.n else 0
+            for nranks in (1, 2, 3, 7, 30):
+                endpoints = np.diff(indptr[shard_cuts(g, nranks)])
+                bound = -(-2 * g.m // nranks) + max_degree
+                assert int(np.max(endpoints)) <= bound, (g.name, nranks)
+
+    def test_hubs_first_get_fewer_vertices(self):
+        g = hubs_first()
+        for nranks in (2, 4):
+            assert shard_cuts(g, nranks)[1] < g.n / nranks
