@@ -282,8 +282,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method", choices=tuple(available_backends()) + ("auto",), default="db",
         help="default counting backend for requests that omit one; db, "
-        "not the engine's auto, until the server's peak memory on the "
-        "sweep is measured again (default: %(default)s)",
+        "not the engine's auto: on serve-cold, auto served 86-94 req/s "
+        "against 3.4-3.8 on db, but the server's own peak rose 13-14%% "
+        "(49.0-49.7 -> 55.6-56.4 MB) (default: %(default)s)",
     )
     parser.add_argument("--trials", type=int, default=10,
                         help="default trials per request (default: %(default)s)")

@@ -12,7 +12,9 @@ the same dynamic program as whole-table array operations:
 * **EdgeJoin with the data graph** gathers every entry's full CSR
   neighbour slice in one shot (``repeat`` over degrees + one fancy
   index into ``indices``), masks out colour collisions, and re-aggregates
-  duplicates with a ``lexsort`` + ``add_reduceat`` segment sum;
+  duplicates with a segment sum: the key columns pack into one ``int64``,
+  one ``argsort`` orders it and ``add.reduceat`` sums each run of equal
+  keys (:func:`_group_sum`; keys wider than 63 bits take a ``lexsort``);
 * **EdgeJoin/NodeJoin with child tables** and the **cycle merge** are
   sort-merge joins: the child table is already sorted, so per-entry match
   ranges come from two ``searchsorted`` calls and the cross product is
@@ -20,6 +22,14 @@ the same dynamic program as whole-table array operations:
 * **leaf projection** and output-table accumulation are the same segment
   sum (this is where ``add.at`` semantics appear — we use the
   sorted-``reduceat`` form because it is deterministic and faster).
+
+Each block compiles once into a *step program* (:func:`compile_block`):
+the kernel calls above as a list of steps, each naming its inputs
+(earlier steps, child blocks) and the query nodes whose label masks it
+applies.  Equal steps over equal inputs appear once, so P+ and P- share
+every equal prefix (an unlabeled cycle's two halves are often one path),
+and each table is dropped after its last read.  The program is kept on
+the block; :class:`VectorizedSolver` interprets it.
 
 Memory is bounded by chunking every gather.  Each kernel keeps the
 path's start vertex ``u`` as its leading output key, so a join's input
@@ -47,7 +57,19 @@ and stays on the dict kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -67,6 +89,8 @@ __all__ = [
     "VecBinaryTable",
     "VecPathTable",
     "VectorizedSolver",
+    "compile_block",
+    "sweep_plan",
     "solve_plan_vectorized",
     "trial_input",
     "count_colorful_ps_vec",
@@ -85,6 +109,10 @@ _ENTRY_LIMIT = 1 << 31
 #: any table whose total count stays below this cannot wrap an int64
 #: segment sum; measured in float64 so the check itself cannot overflow
 _SUM_LIMIT = float(2**62)
+
+#: widest key :func:`_group_sum` packs into one int64 (wider keys take a
+#: ``lexsort``)
+_KEY_BITS = 63
 
 #: rows one gather may expand to: joins cut their input into start-vertex
 #: ranges under this budget (one start vertex that alone expands past it
@@ -113,11 +141,19 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 def _group_sum(
     cols: Sequence[np.ndarray], cnt: np.ndarray
 ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Aggregate duplicate keys: lexsort by ``cols`` then segment-sum ``cnt``.
+    """Aggregate duplicate keys: sort by ``cols`` then segment-sum ``cnt``.
 
     Returns the unique key columns (sorted ascending, first column most
     significant) and the per-key count sums — the array analogue of the
     dict kernels' ``table.add`` accumulation.
+
+    Each column is offset by its minimum and takes the bits of its span.
+    When the spans fit :data:`_KEY_BITS` together, the columns pack into
+    one ``int64`` key (first column in the high bits), so one ``argsort``
+    orders the rows, one ``!=`` over the sorted key finds the segments,
+    and only the unique keys are unpacked.  Wider keys take a ``lexsort``.
+    The sort need not be stable: equal keys are summed, and neither the
+    guarded ``int64`` sums nor Python-int sums depend on their order.
     """
     if len(cnt) == 0:
         return [c[:0] for c in cols], cnt[:0]
@@ -126,15 +162,34 @@ def _group_sum(
     # (object columns hold Python ints and cannot wrap)
     if cnt.dtype != object and float(np.sum(cnt.astype(np.float64))) > _SUM_LIMIT:
         raise OverflowError("ps-vec table aggregation would exceed int64")
-    order = np.lexsort(tuple(reversed(cols)))
-    cols = [c[order] for c in cols]
-    cnt = cnt[order]
-    boundary = np.zeros(len(cnt), dtype=np.bool_)
+    lows = [int(c.min()) for c in cols]
+    widths = [(int(c.max()) - lo).bit_length() for c, lo in zip(cols, lows)]
+    if sum(widths) > _KEY_BITS:
+        order = np.lexsort(tuple(reversed(cols)))
+        cols = [c[order] for c in cols]
+        boundary = np.zeros(len(cnt), dtype=np.bool_)
+        boundary[0] = True
+        for c in cols:
+            boundary[1:] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(boundary)
+        return [c[starts] for c in cols], np.add.reduceat(cnt[order], starts)
+    key = cols[0] - lows[0]
+    for c, lo, width in zip(cols[1:], lows[1:], widths[1:]):
+        key <<= width
+        key |= c - lo
+    order = np.argsort(key)
+    key = key[order]
+    boundary = np.empty(len(key), dtype=np.bool_)
     boundary[0] = True
-    for c in cols:
-        boundary[1:] |= c[1:] != c[:-1]
+    np.not_equal(key[1:], key[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    return [c[starts] for c in cols], np.add.reduceat(cnt, starts)
+    key = key[starts]
+    out = []
+    shift = sum(widths)
+    for lo, width in zip(lows, widths):
+        shift -= width
+        out.append(((key >> shift) & ((1 << width) - 1)) + lo)
+    return out, np.add.reduceat(cnt[order], starts)
 
 
 def _expand(
@@ -289,6 +344,139 @@ class VecPathTable:
 
 
 # ----------------------------------------------------------------------
+# step programs: what a block computes, compiled once per block
+# ----------------------------------------------------------------------
+
+#: step operations, one per kernel of :class:`VectorizedSolver`
+SEED = "seed"  # seed a path from the data graph's edges
+SEED_CHILD = "seed-child"  # seed a path from an annotated edge's table
+EXTEND = "extend"  # EdgeJoin with the data graph
+EXTEND_CHILD = "extend-child"  # EdgeJoin with an annotated edge's table
+JOIN = "join"  # NodeJoin with an annotated node's table
+TRANSPOSE = "transpose"  # a child table with its two boundary nodes swapped
+PROJECT = "project"  # leaf projection onto the boundary node
+MERGE = "merge"  # cycle merge of P+ and P-
+
+#: a step's table input: an earlier step's index, or a child block's
+#: place in the block, ``("node", label)`` or ``("edge", i)``
+Ref = Union[int, Tuple[str, Hashable]]
+
+
+class Step(NamedTuple):
+    """One kernel call of a block program.
+
+    ``inputs`` are the tables it reads.  ``arg`` is the rest of what its
+    table depends on: the query nodes whose label masks it applies
+    (``None`` for a node without one), the side a node join folds into
+    (``True``: the path's start), or the boundary a projection or merge
+    keys by.  Equal steps build equal tables, so a program holds each
+    step once.
+    """
+
+    op: str
+    inputs: Tuple[Ref, ...]
+    arg: Hashable = None
+
+
+class Program(NamedTuple):
+    """A block's steps in run order.  ``frees[i]`` lists the steps whose
+    tables step ``i`` reads last; the last step's table is the block's."""
+
+    steps: Tuple[Step, ...]
+    frees: Tuple[Tuple[int, ...], ...]
+
+
+def compile_block(block: Block, masked: FrozenSet[Node]) -> Program:
+    """The step program of ``block`` for queries whose ``masked`` nodes
+    carry label masks.
+
+    The PS split of the dict solver: a leaf edge is one path, projected
+    onto its first node.  A cycle splits at its boundary nodes (at a
+    diagonal when it has fewer than two) into P+, walked clockwise, and
+    P-, walked counter-clockwise; P+ folds in the end node's annotation
+    and P- the start node's, and the merge joins the two.  A child edge
+    table whose boundary runs against the walk enters transposed.
+
+    Steps are keyed by what they compute, so paths share every equal
+    prefix: unlabeled, a 4-cycle's P+ and P- are one path and a
+    triangle's P- extends P+'s seed.  A labeled node keys its mask by
+    itself, so paths whose masks differ never share a step.
+    """
+    if block.kind not in (LEAF, CYCLE):
+        raise ValueError("singleton blocks are roots, not solvable tables")
+    steps: List[Step] = []
+    index: Dict[Step, int] = {}
+
+    def emit(op: str, inputs: Tuple[Ref, ...], arg: Hashable = None) -> int:
+        step = Step(op, inputs, arg)
+        if step not in index:
+            index[step] = len(steps)
+            steps.append(step)
+        return index[step]
+
+    def mask(node: Node) -> Optional[Node]:
+        return node if node in masked else None
+
+    def edge(i: int, first: Node, second: Node) -> Ref:
+        boundary = block.edge_ann[i].boundary
+        if boundary == (first, second):
+            return ("edge", i)
+        if boundary == (second, first):
+            return emit(TRANSPOSE, (("edge", i),))
+        raise ValueError(
+            f"table boundary {boundary!r} does not match edge ({first!r}, {second!r})"
+        )
+
+    def path(labels: Sequence[Node], edges: Sequence[int], joined: AbstractSet[Node]) -> int:
+        """The steps of one path along ``labels``: ``edges[j]`` is the
+        block edge it walks from ``labels[j]``, ``joined`` the nodes
+        whose annotations it folds in."""
+        if edges[0] in block.edge_ann:
+            t = emit(SEED_CHILD, (edge(edges[0], labels[0], labels[1]),))
+        else:
+            t = emit(SEED, (), (mask(labels[0]), mask(labels[1])))
+        if labels[0] in joined:
+            t = emit(JOIN, (t, ("node", labels[0])), True)
+        if labels[1] in joined:
+            t = emit(JOIN, (t, ("node", labels[1])), False)
+        for j in range(1, len(labels) - 1):
+            if edges[j] in block.edge_ann:
+                t = emit(EXTEND_CHILD, (t, edge(edges[j], labels[j], labels[j + 1])))
+            else:
+                t = emit(EXTEND, (t,), mask(labels[j + 1]))
+            if labels[j + 1] in joined:
+                t = emit(JOIN, (t, ("node", labels[j + 1])), False)
+        return t
+
+    nodes, boundary, annotated = block.nodes, block.boundary, block.node_ann.keys()
+    if block.kind == LEAF:
+        emit(PROJECT, (path(nodes, (0,), annotated),), nodes[0])
+    else:
+        L, nb = len(nodes), len(boundary)
+        if nb == 2:
+            s, e = nodes.index(boundary[0]), nodes.index(boundary[1])
+        elif nb == 1:
+            s = nodes.index(boundary[0])
+            e = (s + L // 2) % L
+        else:
+            s, e = 0, L // 2
+        plus, minus = _cw_labels(nodes, s, e), _ccw_labels(nodes, s, e)
+        tplus = path(plus, [(s + j) % L for j in range(len(plus) - 1)], annotated & set(plus[1:]))
+        tminus = path(
+            minus, [(s - j - 1) % L for j in range(len(minus) - 1)], annotated & set(minus[:-1])
+        )
+        emit(MERGE, (tplus, tminus), boundary)
+
+    last: Dict[int, int] = {}
+    for i, step in enumerate(steps):
+        for r in step.inputs:
+            if isinstance(r, int):
+                last[r] = i
+    frees = tuple(tuple(r for r, at in last.items() if at == i) for i in range(len(steps)))
+    return Program(tuple(steps), frees)
+
+
+# ----------------------------------------------------------------------
 # plan solver (array analogue of repro.counting.solver.BlockSolver, PS only)
 # ----------------------------------------------------------------------
 
@@ -341,8 +529,6 @@ class VectorizedSolver:
         #: per-color signature bits, indexed by data vertex color
         self.bit = 1 << self.colors
         self._solved: Dict[int, object] = {}
-        self._tcache: Dict[int, VecBinaryTable] = {}
-        self._retired: List[object] = []
 
     def _empty_path(self) -> VecPathTable:
         empty = np.empty(0, dtype=np.int64)
@@ -356,11 +542,6 @@ class VectorizedSolver:
         the combined table so parent joins see all vertices, not just
         the rank's own shard.
         """
-        old = self._solved.get(id(block))
-        if old is not None:
-            # pin the replaced table: _tcache keys transposes by id(), so
-            # letting it be collected could recycle an id onto a new table
-            self._retired.append(old)
         self._solved[id(block)] = result
 
     # ------------------------------------------------------------------
@@ -516,7 +697,15 @@ class VectorizedSolver:
             return VecUnaryTable(boundary[0], *cols)
         return VecBinaryTable((boundary[0], boundary[1]), *cols)
 
+    def _project(self, t: VecPathTable, boundary: Node) -> VecUnaryTable:
+        """Leaf projection: sum a path table onto its start vertex."""
+        (u, sig), cnt = _group_sum((t.u, t.sig), t.cnt)
+        return VecUnaryTable(boundary, u, sig, cnt)
+
     # ------------------------------------------------------------------
+    # the interpreter
+    # ------------------------------------------------------------------
+
     def solve(self, block: Block) -> object:
         key = id(block)
         if key not in self._solved:
@@ -524,122 +713,55 @@ class VectorizedSolver:
             # unless a trace is actively collected, so the perf-gated
             # sweep pays two global reads here and nothing else
             with obs.span(f"sweep.{block.kind}", boundary=len(block.boundary)):
-                if block.kind == LEAF:
-                    result = self._solve_leaf(block)
-                elif block.kind == CYCLE:
-                    result = self._solve_cycle(block)
-                else:  # pragma: no cover - singletons handled by solve_plan_vectorized
-                    raise ValueError(
-                        "singleton blocks are roots, not solvable tables"
-                    )
+                result = self._run(block)
             self._solved[key] = result
         return self._solved[key]
 
-    def _child_tables(self, block: Block) -> Tuple[Dict[Node, object], Dict[int, object]]:
-        node_tables = {lab: self.solve(child) for lab, child in block.node_ann.items()}
-        edge_tables = {i: self.solve(child) for i, child in block.edge_ann.items()}
-        return node_tables, edge_tables
+    def _run(self, block: Block) -> object:
+        """Run ``block``'s program, dropping each table after its last
+        read.  The program is compiled on first use and kept on the block
+        under the set of its nodes that carry a label mask, so a plan and
+        its labeled twin (which share blocks) each find their own."""
+        masked = frozenset(n for n in block.nodes if n in self.vertex_ok)
+        program = block.programs.get(masked)
+        if program is None:
+            # two threads may compile one block at once: their programs
+            # are equal, so either may land in the cache
+            program = block.programs[masked] = compile_block(block, masked)
+        tables: List[object] = [None] * len(program.steps)
+        for i, step in enumerate(program.steps):
+            tables[i] = self._step(block, step, tables)
+            for r in program.frees[i]:
+                tables[r] = None
+        return tables[-1]
 
-    def _oriented(self, table: VecBinaryTable, first: Node, second: Node) -> VecBinaryTable:
-        if table.boundary == (first, second):
-            return table
-        if table.boundary == (second, first):
-            key = id(table)
-            if key not in self._tcache:
-                self._tcache[key] = table.transpose()
-            return self._tcache[key]
-        raise ValueError(
-            f"table boundary {table.boundary!r} does not match edge ({first!r}, {second!r})"
-        )
-
-    # ------------------------------------------------------------------
-    def _build_path(
-        self,
-        path_labels: Sequence[Node],
-        node_tables: Dict[Node, VecUnaryTable],
-        edge_tables: Dict[int, VecBinaryTable],
-    ) -> VecPathTable:
-        """np.ndarray analogue of ``build_path_table`` (PS: no pruning/extras)."""
-        vertex_ok = self.vertex_ok
-        child0 = edge_tables.get(0)
-        if child0 is None:
-            t = self._init_from_graph(
-                ok_u=vertex_ok.get(path_labels[0]),
-                ok_v=vertex_ok.get(path_labels[1]),
+    def _step(self, block: Block, step: Step, tables: List[object]) -> object:
+        """One step's kernel over its input tables."""
+        a = [
+            tables[r] if isinstance(r, int) else self.solve(
+                block.node_ann[r[1]] if r[0] == "node" else block.edge_ann[r[1]]
             )
-        else:
-            t = self._init_from_child(child0)
-        if path_labels[0] in node_tables:
-            t = self._node_join(t, node_tables[path_labels[0]], True)
-        if path_labels[1] in node_tables:
-            t = self._node_join(t, node_tables[path_labels[1]], False)
-        for j in range(1, len(path_labels) - 1):
-            child = edge_tables.get(j)
-            if child is None:
-                t = self._extend_with_graph(t, ok_w=vertex_ok.get(path_labels[j + 1]))
-            else:
-                t = self._extend_with_child(t, child)
-            nxt = path_labels[j + 1]
-            if nxt in node_tables:
-                t = self._node_join(t, node_tables[nxt], False)
-        return t
+            for r in step.inputs
+        ]
+        op, arg = step.op, step.arg
+        if op == SEED:
+            return self._init_from_graph(*(self._mask(node) for node in arg))
+        if op == SEED_CHILD:
+            return self._init_from_child(a[0])
+        if op == EXTEND:
+            return self._extend_with_graph(a[0], self._mask(arg))
+        if op == EXTEND_CHILD:
+            return self._extend_with_child(a[0], a[1])
+        if op == JOIN:
+            return self._node_join(a[0], a[1], arg)
+        if op == TRANSPOSE:
+            return a[0].transpose()
+        if op == PROJECT:
+            return self._project(a[0], arg)
+        return self._merge_paths(a[0], a[1], arg)
 
-    def _solve_leaf(self, block: Block) -> VecUnaryTable:
-        a, b = block.nodes
-        node_tables, edge_children = self._child_tables(block)
-        edge_tables: Dict[int, VecBinaryTable] = {}
-        if 0 in edge_children:
-            edge_tables[0] = self._oriented(edge_children[0], a, b)
-        pt = self._build_path((a, b), node_tables, edge_tables)
-        (u, sig), cnt = _group_sum((pt.u, pt.sig), pt.cnt)
-        return VecUnaryTable(a, u, sig, cnt)
-
-    def _solve_cycle(self, block: Block) -> object:
-        nodes = block.nodes
-        L = len(nodes)
-        boundary = block.boundary
-        nb = len(boundary)
-        node_tables, edge_children = self._child_tables(block)
-
-        # PS split: at the boundary nodes, or an arbitrary diagonal
-        if nb == 2:
-            s_idx = nodes.index(boundary[0])
-            e_idx = nodes.index(boundary[1])
-        elif nb == 1:
-            s_idx = nodes.index(boundary[0])
-            e_idx = (s_idx + L // 2) % L
-        else:
-            s_idx, e_idx = 0, L // 2
-
-        plus_labels = _cw_labels(nodes, s_idx, e_idx)
-        minus_labels = _ccw_labels(nodes, s_idx, e_idx)
-
-        # endpoint annotation convention mirrors BlockSolver: P+ takes the
-        # end node's annotation, P- the start node's
-        plus_nodes = {
-            lab: node_tables[lab] for lab in plus_labels[1:] if lab in node_tables
-        }
-        minus_nodes = {
-            lab: node_tables[lab] for lab in minus_labels[:-1] if lab in node_tables
-        }
-        plus_edges: Dict[int, VecBinaryTable] = {}
-        for j in range(len(plus_labels) - 1):
-            idx = (s_idx + j) % L
-            if idx in edge_children:
-                plus_edges[j] = self._oriented(
-                    edge_children[idx], plus_labels[j], plus_labels[j + 1]
-                )
-        minus_edges: Dict[int, VecBinaryTable] = {}
-        for j in range(len(minus_labels) - 1):
-            idx = (s_idx - j - 1) % L
-            if idx in edge_children:
-                minus_edges[j] = self._oriented(
-                    edge_children[idx], minus_labels[j], minus_labels[j + 1]
-                )
-
-        tplus = self._build_path(plus_labels, plus_nodes, plus_edges)
-        tminus = self._build_path(minus_labels, minus_nodes, minus_edges)
-        return self._merge_paths(tplus, tminus, boundary)
+    def _mask(self, node: Optional[Node]) -> Optional[np.ndarray]:
+        return None if node is None else self.vertex_ok[node]
 
 
 def trial_input(
@@ -678,6 +800,32 @@ def trial_input(
     return arr, vertex_ok, count
 
 
+def sweep_plan(
+    plan: Plan,
+    g: Graph,
+    colors: np.ndarray,
+    num_colors: Optional[int] = None,
+    *,
+    exact: bool = False,
+) -> int:
+    """One sweep of ``plan`` over ``g`` under ``colors``.
+
+    On ``int64`` counts it raises :class:`OverflowError` where a guard
+    trips; ``exact=True`` counts in Python ints and cannot.
+    """
+    colors, vertex_ok, count = trial_input(g, plan.query, colors, num_colors)
+    if count is not None:
+        return count
+    solver = VectorizedSolver(g, colors, plan.query.k, vertex_ok=vertex_ok, exact=exact)
+    root = plan.root
+    if root.kind == SINGLETON:
+        (child,) = root.node_ann.values()
+        return solver.solve(child).total()
+    result = solver.solve(root)
+    assert isinstance(result, int), "root cycle must produce a scalar"
+    return result
+
+
 def solve_plan_vectorized(
     plan: Plan,
     g: Graph,
@@ -692,24 +840,10 @@ def solve_plan_vectorized(
     trips, once more with Python-int counts.  No per-rank load attribution
     is available — use the dict kernels for simulated-rank experiments.
     """
-    colors, vertex_ok, count = trial_input(g, plan.query, colors, num_colors)
-    if count is not None:
-        return count
-    root = plan.root
-
-    def sweep(exact: bool) -> int:
-        solver = VectorizedSolver(g, colors, plan.query.k, vertex_ok=vertex_ok, exact=exact)
-        if root.kind == SINGLETON:
-            (child,) = root.node_ann.values()
-            return solver.solve(child).total()
-        result = solver.solve(root)
-        assert isinstance(result, int), "root cycle must produce a scalar"
-        return result
-
     try:
-        return sweep(exact=False)
+        return sweep_plan(plan, g, colors, num_colors)
     except OverflowError:
-        return sweep(exact=True)
+        return sweep_plan(plan, g, colors, num_colors, exact=True)
 
 
 def count_colorful_ps_vec(

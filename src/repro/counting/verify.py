@@ -4,11 +4,13 @@ Production counters need a way to check themselves on inputs too large
 for exhaustive validation.  This module provides randomized consistency
 checks that hold with certainty (not statistically):
 
-* **method agreement** — PS, DB and ps-even must produce identical counts
-  on the same (graph, coloring); any divergence is a bug in exactly the
-  kind of join bookkeeping this paper's algorithms live on;
+* **method agreement** — PS, DB, ps-even and the vectorized sweep
+  (``ps-vec``, and its Python-int rerun forced on) must produce identical
+  counts on the same (graph, coloring); any divergence is a bug in
+  exactly the kind of join bookkeeping this paper's algorithms live on;
 * **plan agreement** — all decomposition trees of the query must count
-  identically;
+  identically, on DB and on the sweep (each plan compiles its own step
+  programs);
 * **subsample ground truth** — on a random induced BFS ball small enough
   to brute force, the fast counters must match the exhaustive count;
 * **rank invariance** — the distributed runs must return the same count
@@ -35,7 +37,8 @@ from ..graph.sampling import random_induced_sample
 from ..query.query import QueryGraph
 from .bruteforce import count_colorful_matches
 from .colorings import uniform_coloring
-from .solver import METHODS, solve_plan
+from .solver import METHODS, VEC_METHOD, solve_plan
+from .vectorized import solve_plan_vectorized, sweep_plan
 
 __all__ = ["VerificationReport", "verify_counting"]
 
@@ -92,6 +95,8 @@ def verify_counting(
 
     # 1. method agreement on the full graph
     counts = {m: solve_plan(plan, g, colors, method=m) for m in METHODS}
+    counts[VEC_METHOD] = solve_plan_vectorized(plan, g, colors)
+    counts[f"{VEC_METHOD} exact"] = sweep_plan(plan, g, colors, exact=True)
     report.record(
         "method-agreement",
         len(set(counts.values())) == 1,
@@ -105,6 +110,7 @@ def verify_counting(
     except RuntimeError:
         plans = [plan]
     plan_counts = {solve_plan(p, g, colors, method="db") for p in plans}
+    plan_counts |= {solve_plan_vectorized(p, g, colors) for p in plans}
     report.record(
         "plan-agreement",
         plan_counts == {reference},

@@ -10,7 +10,7 @@ off their nodes and edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Tuple
 
 __all__ = ["Block", "CYCLE", "LEAF", "SINGLETON"]
 
@@ -45,6 +45,11 @@ class Block:
         For cycles: ``edge index -> child Block``; for leaf edges the only
         edge has index ``0``.  The child's own ``boundary`` tuple tells
         which endpoint is its first boundary node (orientation).
+    programs:
+        The vectorized sweep's compiled step programs for this block,
+        keyed by the set of its nodes that carry a label mask
+        (:mod:`repro.counting.vectorized`).  A cache: never compared,
+        and never pickled, so a plan ships to a worker without it.
     """
 
     kind: str
@@ -52,6 +57,12 @@ class Block:
     boundary: Tuple[Node, ...]
     node_ann: Dict[Node, "Block"] = field(default_factory=dict)
     edge_ann: Dict[int, "Block"] = field(default_factory=dict)
+    programs: Dict[FrozenSet[Node], object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "programs": {}}
 
     # ------------------------------------------------------------------
     @property

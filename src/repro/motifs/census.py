@@ -6,15 +6,15 @@ motif of a given size and compare profiles across networks.  This module
 provides:
 
 * :func:`all_tw2_motifs` — every connected treewidth-≤2 graph on ``k``
-  nodes, up to isomorphism (for ``k ≤ 5``; enumerated by brute force over
-  edge subsets with canonical-form deduplication);
+  nodes, up to isomorphism (for ``k ≤ 5``; one edge subset per orbit
+  under node permutations);
 * :func:`motif_census` — the census vector of a data graph over a motif
   set, using the color-coding estimator per motif.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import List, Optional, Sequence
 
 from ..engine import CountingEngine, CountRequest
@@ -30,29 +30,36 @@ __all__ = ["all_tw2_motifs", "motif_census", "CensusEntry"]
 def all_tw2_motifs(k: int) -> List[QueryGraph]:
     """All connected treewidth-≤2 graphs on ``k`` nodes, up to isomorphism.
 
-    Brute-force enumeration over the ``2^(k choose 2)`` edge subsets with
-    canonical-form deduplication — limited to ``k <= 5`` (1024 subsets).
-    Named ``motif{k}-{index}`` in a deterministic order.
+    Walks the ``2^(k choose 2)`` edge subsets in order — limited to
+    ``k <= 5`` (1024 subsets).  The first subset of each orbit under the
+    ``k!`` node permutations stands for the orbit: a permutation table
+    over pair indices marks the whole orbit seen, so the connectivity,
+    treewidth and canonical-form checks run once per orbit.  Named
+    ``motif{k}-{index}`` in a deterministic order.
     """
     if not (2 <= k <= 5):
         raise ValueError("motif enumeration supported for 2 <= k <= 5")
     pairs = list(combinations(range(k), 2))
-    seen = {}
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    # images[p][i]: the bit of pair i's image under node permutation p
+    images = [
+        [1 << slot[(min(perm[a], perm[b]), max(perm[a], perm[b]))] for a, b in pairs]
+        for perm in permutations(range(k))
+    ]
+    seen = bytearray(1 << len(pairs))
+    found = {}
     for mask in range(1, 1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        if len(edges) < k - 1:
-            continue  # cannot be connected
-        q = QueryGraph(edges, nodes=range(k))
-        if not q.is_connected():
-            continue
-        if not is_treewidth_at_most_2(q):
-            continue
-        key = canonical_form(q)
-        if key not in seen:
-            seen[key] = q
+        if seen[mask] or bin(mask).count("1") < k - 1:
+            continue  # an orbit already visited, or too few edges to connect
+        bits = [i for i in range(len(pairs)) if (mask >> i) & 1]
+        for image in images:
+            seen[sum(image[i] for i in bits)] = 1
+        q = QueryGraph([pairs[i] for i in bits], nodes=range(k))
+        if q.is_connected() and is_treewidth_at_most_2(q):
+            found[canonical_form(q)] = q
     motifs = []
-    for i, key in enumerate(sorted(seen, key=lambda fs: sorted(fs))):
-        q = seen[key]
+    for i, key in enumerate(sorted(found, key=lambda fs: sorted(fs))):
+        q = found[key]
         q.name = f"motif{k}-{i}"
         motifs.append(q)
     return motifs

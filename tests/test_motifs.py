@@ -19,6 +19,42 @@ from repro.query import are_isomorphic, cycle_query, path_query
 # this module deliberately exercises the deprecated pre-engine shim API
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
+#: ``all_tw2_motifs(k)`` pinned, one edge list per motif in name order
+#: (nodes are always ``range(k)``): census order and the motif-census
+#: benchmark's count digest depend on it
+RECORDED_MOTIFS = {
+    2: [
+        [(0, 1)],  # motif2-0
+    ],
+    3: [
+        [(0, 1), (0, 2)],  # motif3-0
+        [(0, 1), (0, 2), (1, 2)],  # motif3-1
+    ],
+    4: [
+        [(0, 1), (0, 2), (0, 3)],  # motif4-0
+        [(0, 1), (0, 2), (0, 3), (1, 2)],  # motif4-1
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],  # motif4-2
+        [(0, 1), (0, 3), (1, 2)],  # motif4-3
+        [(0, 2), (0, 3), (1, 2), (1, 3)],  # motif4-4
+    ],
+    5: [
+        [(0, 1), (0, 2), (0, 3), (0, 4)],  # motif5-0
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)],  # motif5-1
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)],  # motif5-2
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],  # motif5-3
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)],  # motif5-4
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)],  # motif5-5
+        [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)],  # motif5-6
+        [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)],  # motif5-7
+        [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)],  # motif5-8
+        [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)],  # motif5-9
+        [(0, 1), (0, 3), (0, 4), (1, 2)],  # motif5-10
+        [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)],  # motif5-11
+        [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],  # motif5-12
+        [(0, 2), (0, 4), (1, 2), (1, 3)],  # motif5-13
+        [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)],  # motif5-14
+    ],
+}
 
 
 class TestMotifEnumeration:
@@ -53,6 +89,14 @@ class TestMotifEnumeration:
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
             all_tw2_motifs(6)
+
+    def test_output_is_the_recorded_enumeration(self):
+        """Names, order, edges and nodes of every motif for k = 2..5."""
+        for k, edge_lists in RECORDED_MOTIFS.items():
+            motifs = all_tw2_motifs(k)
+            assert [m.name for m in motifs] == [f"motif{k}-{i}" for i in range(len(edge_lists))]
+            assert [list(m.edges()) for m in motifs] == edge_lists, k
+            assert all(list(m.nodes()) == list(range(k)) for m in motifs), k
 
     def test_pairwise_non_isomorphic(self):
         motifs = all_tw2_motifs(4)

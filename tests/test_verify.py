@@ -3,6 +3,7 @@
 
 from repro.bench import dataset
 from repro.counting import VerificationReport, verify_counting
+from repro.counting.vectorized import VectorizedSolver
 from repro.graph import erdos_renyi
 from repro.query import cycle_query, paper_query
 
@@ -44,3 +45,19 @@ class TestVerifyCounting:
         assert "plan-agreement" in names
         assert "subsample-ground-truth" in names
         assert any(n.startswith("rank-invariance") for n in names)
+
+    def test_a_wrong_sweep_fails_method_and_plan_agreement(self, rng, monkeypatch):
+        """The sweep (``ps-vec`` and its exact rerun) is in both batteries:
+        a cycle merge that counts one too many fails exactly those two."""
+        merge = VectorizedSolver._merge_paths
+
+        def one_too_many(self, *args):
+            out = merge(self, *args)
+            return out + 1 if isinstance(out, int) else out
+
+        monkeypatch.setattr(VectorizedSolver, "_merge_paths", one_too_many)
+        g = erdos_renyi(25, 0.3, rng, name="er25")
+        report = verify_counting(g, cycle_query(4), seed=5, rank_counts=(2,))
+        failed = {failure.split(":")[0] for failure in report.failures}
+        assert failed == {"method-agreement", "plan-agreement"}, report.summary()
+        assert "ps-vec exact" in report.summary()
