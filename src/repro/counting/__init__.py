@@ -2,12 +2,7 @@
 sweep (exact, chunked), brute-force references and the estimator."""
 
 from .bruteforce import count_colorful_matches, count_matches
-from .colorings import (
-    balanced_coloring,
-    color_class_sizes,
-    coloring_batch,
-    uniform_coloring,
-)
+from .colorings import coloring_batch, uniform_coloring
 from .verify import VerificationReport, verify_counting
 from .db import count_colorful_db
 from .estimator import EstimateResult, normalization_factor
@@ -32,9 +27,7 @@ __all__ = [
     "EstimateResult",
     "normalization_factor",
     "uniform_coloring",
-    "balanced_coloring",
     "coloring_batch",
-    "color_class_sizes",
     "verify_counting",
     "VerificationReport",
 ]

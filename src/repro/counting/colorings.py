@@ -1,34 +1,35 @@
-"""Coloring strategies for the color-coding estimator.
+"""Colorings for the color-coding estimator: drawing them and checking them.
 
-Section 2 uses uniform random colorings.  Two refinements are provided as
-extensions (the variance-reduction direction the color-coding literature
-explores and the paper leaves implicit):
-
-* **balanced** colorings — each color class has (near-)equal size; the
-  estimator stays unbiased over the uniform mixture of balanced colorings
-  restricted sample space and typically has lower variance because color
-  class sizes never degenerate;
-* **stratified batches** — a deterministic low-discrepancy sequence of
-  seeds, so repeated experiments across methods/ranks reuse identical
-  colorings (how every benchmark in this repo keeps PS/DB comparisons
-  paired).
+Section 2 colors the data vertices uniformly at random.  Every trial's
+coloring comes from one seeded stream (:func:`coloring_stream`), so
+repeated experiments across methods and ranks reuse identical colorings
+(how every benchmark in this repo keeps PS/DB comparisons paired), and
+every counting path checks a trial's input with :func:`trial_input`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graph.graph import Graph
+from ..query.query import QueryGraph
+from .labels import label_masks
+
 __all__ = [
     "uniform_coloring",
-    "balanced_coloring",
     "coloring_batch",
     "coloring_stream",
-    "color_class_sizes",
-    "COLORING_STRATEGIES",
+    "trial_input",
+    "MAX_COLORS_VEC",
 ]
+
+Node = Hashable
+
+#: signatures are bit sets inside one int64 ⇒ at most 62 colors
+MAX_COLORS_VEC = 62
 
 
 def uniform_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -36,57 +37,57 @@ def uniform_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, k, size=n, dtype=np.int64)
 
 
-def balanced_coloring(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Random coloring with color-class sizes differing by at most one.
-
-    Sampled as a uniformly random permutation of the fixed multiset
-    ``{0,...,k-1}`` repeated ``ceil(n/k)`` times, truncated to ``n``.
-    """
-    reps = -(-n // k)
-    palette = np.tile(np.arange(k, dtype=np.int64), reps)[:n]
-    rng.shuffle(palette)
-    return palette
-
-
-#: coloring strategies by name (the ``strategy`` values
-#: :func:`coloring_stream` accepts)
-COLORING_STRATEGIES = {"uniform": uniform_coloring, "balanced": balanced_coloring}
-
-
-def coloring_stream(
-    n: int,
-    k: int,
-    seed: int,
-    strategy: str = "uniform",
-) -> Iterator[np.ndarray]:
-    """Endless deterministic coloring sequence from one seeded generator.
+def coloring_stream(n: int, k: int, seed: int) -> Iterator[np.ndarray]:
+    """Endless deterministic sequence of uniform colorings from one seeded
+    generator.
 
     The engine's trial scheduler draws every coloring from this stream,
     so the first ``t`` trials of any run are the same ``t`` colorings
     whether it stops early or keeps going — the differential/parity
-    invariants ride on this prefix property.  An unknown ``strategy``
-    raises :class:`ValueError` here, before the first draw.
+    invariants ride on this prefix property.
     """
-    try:
-        draw = COLORING_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown coloring strategy {strategy!r}") from None
     rng = np.random.default_rng(seed)
-    return (draw(n, k, rng) for _ in itertools.count())
+    return (uniform_coloring(n, k, rng) for _ in itertools.count())
 
 
-def coloring_batch(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    strategy: str = "uniform",
-) -> List[np.ndarray]:
+def coloring_batch(n: int, k: int, trials: int, seed: int) -> List[np.ndarray]:
     """The first ``trials`` colorings of :func:`coloring_stream` (paired
     experiments replay exactly what the engine drew)."""
-    return list(itertools.islice(coloring_stream(n, k, seed, strategy), trials))
+    return list(itertools.islice(coloring_stream(n, k, seed), trials))
 
 
-def color_class_sizes(colors: np.ndarray, k: int) -> np.ndarray:
-    """Histogram of color usage (diagnostics for degenerate colorings)."""
-    return np.bincount(np.asarray(colors, dtype=np.int64), minlength=k)
+def trial_input(
+    g: Graph,
+    query: QueryGraph,
+    colors: Sequence[int],
+    num_colors: Optional[int] = None,
+    *,
+    cap: bool = True,
+) -> Tuple[np.ndarray, Optional[Dict[Node, np.ndarray]], Optional[int]]:
+    """Check one trial's input; return ``(colors, vertex_ok, count)``.
+
+    ``colors`` comes back as int64, checked against ``g`` and a palette of
+    ``num_colors`` (default ``k``) colors; ``cap`` also holds the palette
+    to :data:`MAX_COLORS_VEC`, the width of a sweep signature (the dict
+    kernels and whole trials on other backends pass ``cap=False``).
+    ``vertex_ok`` is the query's label masks (:func:`label_masks`, which
+    refuses a labeled query on an unlabeled graph).  ``count`` answers a
+    one-node query, which no block solves, outright; it is ``None`` for
+    every other query.
+    """
+    k = query.k
+    kc = num_colors if num_colors is not None else k
+    if kc < k:
+        raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
+    if cap and kc > MAX_COLORS_VEC:
+        raise ValueError(f"the sweep packs signatures in int64; num_colors <= {MAX_COLORS_VEC}")
+    arr = np.asarray(colors, dtype=np.int64)
+    if len(arr) != g.n:
+        raise ValueError("coloring must assign a color to every data vertex")
+    if k > 0 and len(arr) and (int(np.min(arr)) < 0 or int(np.max(arr)) >= kc):
+        raise ValueError(f"colors must lie in [0, {kc})")
+    vertex_ok = label_masks(g, query)
+    count = None
+    if k == 1:
+        count = int(next(iter(vertex_ok.values())).sum()) if vertex_ok else g.n
+    return arr, vertex_ok, count

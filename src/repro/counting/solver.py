@@ -25,8 +25,8 @@ from ..decomposition.tree import Plan
 from ..distributed.runtime import ExecutionContext, sequential_context
 from ..graph.graph import Graph
 from ..tables.projection import BinaryTable, UnaryTable
+from .colorings import trial_input
 from .kernels import build_path_table, merge_cycle_paths, oriented_binary
-from .labels import label_masks
 
 __all__ = ["solve_plan", "BlockSolver", "METHODS", "VEC_METHOD"]
 
@@ -296,37 +296,22 @@ def solve_plan(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    colors = np.asarray(colors, dtype=np.int64)
-    k = plan.query.k
-    kc = num_colors if num_colors is not None else k
-    if kc < k:
-        raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
-    if len(colors) != g.n:
-        raise ValueError("coloring must assign a color to every data vertex")
-    if k > 0 and colors.size and (colors.min() < 0 or colors.max() >= kc):
-        raise ValueError(f"colors must lie in [0, {kc})")
-    vertex_ok = label_masks(g, plan.query)
+    colors, vertex_ok, single = trial_input(g, plan.query, colors, num_colors, cap=False)
+    if single is not None:
+        # a single-node query: every (label-compatible) vertex is a match
+        return single
     if ctx is None:
         ctx = sequential_context(g)
 
+    solver = BlockSolver(g, colors, ctx, method, plan.query.k, vertex_ok=vertex_ok)
     root = plan.root
     if root.kind == SINGLETON:
-        if root.node_ann:
-            solver = BlockSolver(g, colors, ctx, method, k, vertex_ok=vertex_ok)
-            (child,) = root.node_ann.values()
-            table = solver.solve(child)
-            # Every entry of the root child's table is a complete match; its
-            # signature has exactly k (distinct) colors by construction, so
-            # summing everything counts the colorful matches.
-            return sum(cnt for (_u, _sig), cnt in table.items())
-        if vertex_ok:
-            # A single-node labeled query: count label-compatible vertices.
-            (mask,) = vertex_ok.values()
-            return int(mask.sum())
-        # A single-node query: every vertex is a colorful match.
-        return g.n
-
-    solver = BlockSolver(g, colors, ctx, method, k, vertex_ok=vertex_ok)
+        (child,) = root.node_ann.values()
+        table = solver.solve(child)
+        # Every entry of the root child's table is a complete match; its
+        # signature has exactly k (distinct) colors by construction, so
+        # summing everything counts the colorful matches.
+        return sum(cnt for (_u, _sig), cnt in table.items())
     result = solver.solve(root)
     assert isinstance(result, int), "root cycle must produce a scalar"
     return result

@@ -79,7 +79,7 @@ from ..decomposition.planner import heuristic_plan
 from ..decomposition.tree import Plan
 from ..graph.graph import Graph
 from ..query.query import QueryGraph
-from .labels import label_masks
+from .colorings import MAX_COLORS_VEC, trial_input
 # the cycle-walk order must stay in lockstep with the dict solver for the
 # ps/ps-vec bit-identical invariant to hold — share one implementation
 from .solver import _ccw_labels, _cw_labels
@@ -92,15 +92,11 @@ __all__ = [
     "compile_block",
     "sweep_plan",
     "solve_plan_vectorized",
-    "trial_input",
     "count_colorful_ps_vec",
     "MAX_COLORS_VEC",
 ]
 
 Node = Hashable
-
-#: signatures are bit sets inside one int64 ⇒ at most 62 colors
-MAX_COLORS_VEC = 62
 
 #: per-entry counts entering a product join must stay below this, so
 #: every pairwise product fits in 62 bits
@@ -537,10 +533,11 @@ class VectorizedSolver:
     def inject(self, block: Block, result: object) -> None:
         """Install (or overwrite) the solved table for ``block``.
 
-        Used by the sharded executor: after the per-rank shards of a
-        child block are combined into the full table, every rank injects
-        the combined table so parent joins see all vertices, not just
-        the rank's own shard.
+        Used by the sharded executor: the master combines the per-rank
+        shards of a child block into the full table and sends it inside
+        the parent block's request, and the worker's fresh solver injects
+        it before solving the parent, so the parent's joins see all
+        vertices, not just the rank's own shard.
         """
         self._solved[id(block)] = result
 
@@ -762,42 +759,6 @@ class VectorizedSolver:
 
     def _mask(self, node: Optional[Node]) -> Optional[np.ndarray]:
         return None if node is None else self.vertex_ok[node]
-
-
-def trial_input(
-    g: Graph,
-    query: QueryGraph,
-    colors: Sequence[int],
-    num_colors: Optional[int] = None,
-    *,
-    cap: bool = True,
-) -> Tuple[np.ndarray, Optional[Dict[Node, np.ndarray]], Optional[int]]:
-    """Check one trial's input; return ``(colors, vertex_ok, count)``.
-
-    ``colors`` comes back as int64, checked against ``g`` and a palette of
-    ``num_colors`` (default ``k``) colors; ``cap`` also holds the palette
-    to :data:`MAX_COLORS_VEC`, the width of a signature (whole trials on
-    other backends pass ``cap=False``).  ``vertex_ok`` is the query's
-    label masks (:func:`label_masks`, which refuses a labeled query on an
-    unlabeled graph).  ``count`` answers a one-node query, which no block
-    solves, outright; it is ``None`` for every other query.
-    """
-    k = query.k
-    kc = num_colors if num_colors is not None else k
-    if kc < k:
-        raise ValueError(f"need at least k={k} colors, got num_colors={kc}")
-    if cap and kc > MAX_COLORS_VEC:
-        raise ValueError(f"the sweep packs signatures in int64; num_colors <= {MAX_COLORS_VEC}")
-    arr = np.asarray(colors, dtype=np.int64)
-    if len(arr) != g.n:
-        raise ValueError("coloring must assign a color to every data vertex")
-    if k > 0 and len(arr) and (int(np.min(arr)) < 0 or int(np.max(arr)) >= kc):
-        raise ValueError(f"colors must lie in [0, {kc})")
-    vertex_ok = label_masks(g, query)
-    count = None
-    if k == 1:
-        count = int(next(iter(vertex_ok.values())).sum()) if vertex_ok else g.n
-    return arr, vertex_ok, count
 
 
 def sweep_plan(

@@ -19,6 +19,16 @@ counts.
 The same pool also runs whole trials (:meth:`ShardedExecutor.run_trials`):
 that is how the engine runs ``workers > 1`` for every other backend.
 
+Protocol
+--------
+Every master → worker message but ``stop`` is a request with exactly one
+reply, ``("ok", result, cpu_s, wall_s, events)`` or ``("error", exc)``,
+and between requests a worker keeps nothing but its registered plans.
+A ``block`` request carries all its shard needs — the trial's ``k``,
+query labels and ``exact`` flag, and the combined table of each child
+block — so the worker solves the block from the request alone.  A
+superstep is one such request and one reply per worker.
+
 Data placement
 --------------
 * the CSR adjacency (``indptr``/``indices``) and the per-trial coloring
@@ -27,8 +37,9 @@ Data placement
   arrays, never a copy of the graph);
 * decomposition plans are shipped once per executor (workers re-derive
   the same bottom-up block order from ``Plan.blocks()``);
-* boundary table slices travel over per-worker pipes: worker → master
-  (shard), master → workers (combined), one round per superstep.
+* boundary tables cross the per-worker pipes as the table objects
+  themselves: worker → master (the worker's shard, in its reply), master
+  → workers (the combined table, once, in its parent block's request).
 
 Measured vs predicted
 ---------------------
@@ -50,19 +61,17 @@ import time
 import weakref
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection, wait
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, cast
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union, cast,
+)
 
 import numpy as np
 
 from .. import obs
 from ..obs import catalogue as obs_catalogue
+from ..counting.colorings import trial_input
 from ..counting.labels import label_masks_from_arrays
-from ..counting.vectorized import (
-    VecBinaryTable,
-    VecUnaryTable,
-    VectorizedSolver,
-    trial_input,
-)
+from ..counting.vectorized import VecBinaryTable, VecUnaryTable, VectorizedSolver
 from ..decomposition.blocks import LEAF, SINGLETON
 from ..decomposition.tree import Plan
 from ..graph.graph import Graph
@@ -82,37 +91,12 @@ class ShardResult(NamedTuple):
     stats: WallStats
 
 
-# ----------------------------------------------------------------------
-# table payloads (pipe exchange format: plain tuples of arrays)
-# ----------------------------------------------------------------------
-
-def _pack(result: object) -> tuple:
-    """Flatten a solved block result for pipe transport."""
-    if isinstance(result, (int, np.integer)):
-        return ("count", int(result))
-    if isinstance(result, VecUnaryTable):
-        return ("unary", result.boundary, result.u, result.sig, result.cnt)
-    if isinstance(result, VecBinaryTable):
-        return ("binary", result.boundary, result.u, result.v, result.sig, result.cnt)
-    raise TypeError(f"unexpected block result {type(result).__name__}")
+#: one rank's answer to a ``block`` request: its rows of the block's
+#: table, or its Python-int partial for a 0-boundary root cycle
+Shard = Union[int, VecUnaryTable, VecBinaryTable]
 
 
-def _unpack(payload: tuple) -> object:
-    """Rebuild a table object from its pipe payload."""
-    kind = payload[0]
-    if kind == "count":
-        return payload[1]
-    if kind == "unary":
-        return VecUnaryTable(payload[1], payload[2], payload[3], payload[4])
-    return VecBinaryTable(payload[1], payload[2], payload[3], payload[4], payload[5])
-
-
-def _payload_rows(payload: tuple) -> int:
-    """Number of table rows a payload ships (0 for scalar counts)."""
-    return 0 if payload[0] == "count" else len(payload[-1])
-
-
-def _combine_shards(payloads: Sequence[tuple]) -> object:
+def _combine_shards(shards: Sequence[Shard]) -> Shard:
     """Join per-rank shards, in rank order, into the full table (or count).
 
     Rank ``r``'s shard holds exactly the rows of the full table whose
@@ -121,15 +105,18 @@ def _combine_shards(payloads: Sequence[tuple]) -> object:
     Each shard is sorted and unique and the ranges tile ``[0, n)`` in
     rank order, so the concatenation is the sorted, unique table the
     unsharded solver builds.  It adds no counts, so it needs no overflow
-    guard.  Scalar shard counts are Python ints, summed exactly.
+    guard.  Root partials are Python ints, summed exactly.
     """
-    kind = payloads[0][0]
-    if any(p[0] != kind for p in payloads):  # pragma: no cover - protocol bug guard
-        raise RuntimeError("mixed shard payload kinds")
-    if kind == "count":
-        return sum(p[1] for p in payloads)
-    cols = [np.concatenate(col) for col in zip(*(p[2:] for p in payloads))]
-    return _unpack((kind, payloads[0][1], *cols))
+    first = shards[0]
+    if isinstance(first, int):
+        return sum(cast(Sequence[int], shards))
+
+    def cat(*cols: str) -> List[np.ndarray]:
+        return [np.concatenate([getattr(s, col) for s in shards]) for col in cols]
+
+    if isinstance(first, VecUnaryTable):
+        return VecUnaryTable(first.boundary, *cat("u", "sig", "cnt"))
+    return VecBinaryTable(first.boundary, *cat("u", "v", "sig", "cnt"))
 
 
 def _shard_cuts(indptr: np.ndarray, nranks: int) -> np.ndarray:
@@ -190,23 +177,28 @@ def _worker_main(
     nnz: int,
     has_labels: bool,
 ) -> None:  # pragma: no cover - exercised in subprocesses
-    """Worker loop: solve blocks over the start vertices in ``start_range``.
+    """Worker loop: answer each request over the shared graph, one reply each.
 
-    Protocol (master → worker): ``("plan", key, plan)`` registers a plan,
-    ``("trial", key, k, qlabels, trace_id, exact)`` starts a trial (fresh
-    solver over the current shared coloring; ``qlabels`` is the labeled
-    query's node → label map, or ``None``; ``trace_id`` is the master's obs
-    trace ID when a trace is being collected, else ``None``; ``exact``
-    selects Python-int counts), ``("block", idx)``
-    solves one block's shard, ``("table", idx, payload)`` installs a
-    combined child table, ``("stop",)`` exits.  Worker → master:
-    ``("shard", idx, payload, cpu_seconds, wall_seconds, events)`` —
-    ``events`` is the list of obs span events recorded in this worker
-    since the last reply (empty when no trace is active) — or
-    ``("error", exception)``.  Whole trials: ``("run", index, key,
-    backend, query, colors, num_colors, trace_id)`` (``key`` is ``None``
-    for plan-free backends) answers ``("counted", index, count, seconds,
-    events)``.
+    A request is ``(op, trace_id, *args)``; ``trace_id`` is the master's
+    obs trace ID while a trace is being collected, else ``None``.
+
+    * ``("plan", trace_id, key, plan)`` registers a plan; result ``None``.
+    * ``("block", trace_id, key, idx, k, qlabels, exact, children)`` solves
+      block ``idx`` of plan ``key`` over the start vertices in
+      ``start_range``, on a fresh solver over the current shared coloring
+      with each ``(child index, combined table)`` of ``children``
+      injected.  ``qlabels`` is the labeled query's node → label map, or
+      ``None``; ``exact`` selects Python-int counts.  The result is this
+      shard's table, or its Python-int partial for a 0-boundary root cycle.
+    * ``("run", trace_id, index, key, backend, query, colors, num_colors)``
+      counts one whole trial (``key`` is ``None`` for plan-free backends);
+      the result is the count.
+    * ``("stop",)`` exits, unanswered.
+
+    The reply is ``("ok", result, cpu_seconds, wall_seconds, events)`` —
+    ``events`` are the obs spans recorded while serving the request, empty
+    when no trace is active — or ``("error", exception)``.  Between
+    requests the worker keeps only its registered plans.
     """
     shms = [_attach_shm(nm) for nm in shm_names]
     indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=shms[0].buf)
@@ -217,68 +209,51 @@ def _worker_main(
     )
     g = Graph.wrap_csr(indptr, indices, labels)
     plans: Dict[int, Plan] = {}
-    blocks: Optional[List] = None
-    solver: Optional[VectorizedSolver] = None
-    # the master only ever recv()s one reply per "block"/"run" request, so a
-    # failure in any other op is held here and reported on the next
-    # "block" — sending it eagerly would desync the request/reply pairing
-    pending_error: Optional[BaseException] = None
+
+    def serve(op: str, args: Sequence) -> object:
+        if op == "plan":
+            key, plan = args
+            plans[key] = plan
+            return None
+        if op == "block":
+            key, idx, k, qlabels, exact, children = args
+            blocks = plans[key].blocks()
+            with obs.span("dist.solve", rank=rank, block=idx):
+                solver = VectorizedSolver(
+                    g, colors, k, start_range=start_range,
+                    vertex_ok=label_masks_from_arrays(labels, qlabels), exact=exact,
+                )
+                for child, table in children:
+                    solver.inject(blocks[child], table)
+                return solver.solve(blocks[idx])
+        index, key, backend, query, trial_colors, num_colors = args
+        with obs.span("engine.trial", index=index):
+            return int(backend.count_colorful(
+                g, query, trial_colors,
+                plan=plans[key] if key is not None else None,
+                num_colors=num_colors,
+            ))
+
     try:
         while True:
             try:
                 msg = conn.recv()
             except EOFError:
                 break
-            op = msg[0]
-            if op == "stop":
+            if msg[0] == "stop":
                 break
+            op, trace_id, *args = msg
+            _join_trace(trace_id)
+            wall0 = time.perf_counter()
+            cpu0 = time.process_time()
             try:
-                if op == "plan":
-                    plans[msg[1]] = msg[2]
-                elif op == "trial":
-                    blocks = plans[msg[1]].blocks()
-                    solver = VectorizedSolver(
-                        g,
-                        colors,
-                        msg[2],
-                        start_range=start_range,
-                        vertex_ok=label_masks_from_arrays(labels, msg[3]),
-                        exact=msg[5],
-                    )
-                    _join_trace(msg[4])
-                    pending_error = None  # stale failures die with their trial
-                elif op == "block":
-                    if pending_error is not None:
-                        conn.send(("error", pending_error))
-                        pending_error = None
-                        continue
-                    idx = msg[1]
-                    wall0 = time.perf_counter()
-                    cpu0 = time.process_time()
-                    with obs.span("dist.solve", rank=rank, block=idx):
-                        result = solver.solve(blocks[idx])
-                    cpu = time.process_time() - cpu0
-                    wall = time.perf_counter() - wall0
-                    conn.send(("shard", idx, _pack(result), cpu, wall, _drain_events()))
-                elif op == "table":
-                    solver.inject(blocks[msg[1]], _unpack(msg[2]))
-                elif op == "run":
-                    _, index, key, backend, query, trial_colors, num_colors, trace_id = msg
-                    _join_trace(trace_id)
-                    t0 = time.perf_counter()
-                    with obs.span("engine.trial", index=index):
-                        count = backend.count_colorful(
-                            g, query, trial_colors,
-                            plan=plans[key] if key is not None else None,
-                            num_colors=num_colors,
-                        )
-                    seconds = time.perf_counter() - t0
-                    conn.send(("counted", index, int(count), seconds, _drain_events()))
+                result = serve(op, args)
             except Exception as exc:  # noqa: BLE001 - forwarded to the master
-                if op in ("block", "run"):
-                    conn.send(("error", exc))
-                else:
-                    pending_error = exc
+                conn.send(("error", exc))
+                continue
+            cpu = time.process_time() - cpu0
+            wall = time.perf_counter() - wall0
+            conn.send(("ok", result, cpu, wall, _drain_events()))
     finally:
         conn.close()
         for shm in shms:
@@ -431,9 +406,10 @@ class ShardedExecutor:
         self.close()
 
     # ------------------------------------------------------------------
-    def _send(self, conn: Connection, msg: tuple) -> None:
+    def _send(self, conn: Connection, op: str, *args: object) -> None:
+        """Send one request; the trace ID rides on every one."""
         try:
-            conn.send(msg)
+            conn.send((op, _shipped_trace_id(), *args))
         except OSError:
             # a worker died while the pool was idle (e.g. OOM-killed):
             # close so engine-level caches replace this executor
@@ -441,48 +417,38 @@ class ShardedExecutor:
             raise RuntimeError("pool worker died; executor closed") from None
 
     def _recv(self, conn: Connection) -> tuple:
+        """One reply; an ``ok`` reply's spans join the active trace (a
+        no-op when nothing is being collected)."""
         try:
-            return conn.recv()
+            reply = conn.recv()
         except (EOFError, OSError):
             self.close()
             rank = self._conns.index(conn)
             raise RuntimeError(f"pool worker {rank} died mid-run") from None
+        if reply[0] == "ok":
+            obs.add_events(reply[4])
+        return reply
 
-    def _broadcast(self, msg: tuple) -> None:
+    def _ask_all(self, op: str, *args: object) -> List[tuple]:
+        """Send one request to every worker; ``(result, cpu_s, wall_s)``
+        per rank, received in rank order.  The first error is raised only
+        after every worker has answered, so the pool stays usable."""
         for conn in self._conns:
-            self._send(conn, msg)
+            self._send(conn, op, *args)
+        replies = [self._recv(conn) for conn in self._conns]
+        for reply in replies:
+            if reply[0] == "error":
+                raise reply[1]
+        return [reply[1:4] for reply in replies]
 
     def _register_plan_locked(self, plan: Plan) -> int:
         key = self._plan_keys.get(id(plan))
         if key is None:
             key = len(self._plans)
+            self._ask_all("plan", key, plan)
             self._plan_keys[id(plan)] = key
             self._plans.append(plan)  # pin: id() keys must not be recycled
-            self._broadcast(("plan", key, plan))
         return key
-
-    def _gather(self, stats: WallStats, stage: str) -> List[tuple]:
-        rec = stats.new_stage(stage)
-        shards: List[tuple] = [None] * self.nranks  # type: ignore[list-item]
-        error: Optional[BaseException] = None
-        for rank, conn in enumerate(self._conns):
-            msg = self._recv(conn)
-            if msg[0] == "error":
-                error = error or msg[1]
-                continue
-            _, _, payload, cpu, wall, events = msg
-            rec.cpu[rank] = cpu
-            rec.wall[rank] = wall
-            rec.rows[rank] = _payload_rows(payload)
-            shards[rank] = payload
-            # merge shard-worker spans into the active trace (no-op when
-            # nothing is being collected — workers ship an empty list then)
-            obs.add_events(events)
-        if error is not None:
-            # workers are already idle again (they answer one message at a
-            # time); the next count() starts a fresh trial
-            raise error
-        return shards
 
     # ------------------------------------------------------------------
     def count(
@@ -524,40 +490,44 @@ class ShardedExecutor:
     def _sweep_locked(self, plan: Plan, key: int, exact: bool) -> Tuple[int, WallStats]:
         """One trial's supersteps over the current shared coloring."""
         stats = WallStats(self.nranks)
-        root = plan.root
-        self._broadcast(
-            ("trial", key, plan.query.k, plan.query.labels, _shipped_trace_id(), exact)
-        )
+        root, q = plan.root, plan.query
         blocks = plan.blocks()
+        index = {id(block): idx for idx, block in enumerate(blocks)}
         stages = blocks[:-1] if root.kind == SINGLETON else blocks
-        last_combined: object = None
+        # combined tables held until their parent's request (bottom-up
+        # order solves every child before its parent)
+        combined: Dict[int, Shard] = {}
         for idx, block in enumerate(stages):
+            children = [
+                (index[id(c)], combined.pop(index[id(c)])) for c in block.children()
+            ]
             stage_name = f"b{idx}:{block.kind}"
             with obs.span(
                 "dist.superstep", stage=stage_name, workers=self.nranks
             ) as sp:
-                self._broadcast(("block", idx))
-                shards = self._gather(stats, stage_name)
-                last_combined = _combine_shards(shards)
-                if idx < len(stages) - 1:
-                    # publish the combined child table for the parents'
-                    # joins; the final stage's result is consumed only
-                    # by the master
-                    self._broadcast(("table", idx, _pack(last_combined)))
+                replies = self._ask_all("block", key, idx, q.k, q.labels, exact, children)
+                rec = stats.new_stage(stage_name)
+                for rank, (shard, cpu, wall) in enumerate(replies):
+                    rec.cpu[rank] = cpu
+                    rec.wall[rank] = wall
+                    rec.rows[rank] = 0 if isinstance(shard, int) else len(shard)
+                combined[idx] = _combine_shards([shard for shard, _, _ in replies])
                 # fold the measured WallStats row into the trace span
-                rec = stats.stages[-1]
                 sp.add(
                     rows=int(rec.rows.sum()),
                     max_wall=float(rec.wall.max()),
                     max_cpu=float(rec.cpu.max()),
                 )
+        last = combined.pop(len(stages) - 1)
         if root.kind == SINGLETON:
             # bottom-up block order puts the root's only child last
             (child,) = root.node_ann.values()
-            assert stages[-1] is child, "plan block order violated"
-            count = last_combined.total()
+            assert stages[-1] is child and isinstance(last, VecUnaryTable), (
+                "plan block order violated"
+            )
+            count = last.total()
         else:
-            count = last_combined  # 0-boundary root cycle: scalar partials
+            count = last  # 0-boundary root cycle: scalar partials
         obs_catalogue.dist_supersteps().inc(len(stages))
         obs_catalogue.dist_exchanged_rows().inc(stats.exchanged_rows())
         return int(count), stats
@@ -591,7 +561,6 @@ class ShardedExecutor:
         error: Optional[BaseException] = None
         with self._run_lock:
             key = self._register_plan_locked(plan) if plan is not None else None
-            trace_id = _shipped_trace_id()
             todo = iter(range(len(trials)))
             busy: Dict[Connection, int] = {}  # worker pipe -> its trial
 
@@ -599,24 +568,22 @@ class ShardedExecutor:
                 i = next(todo, None)
                 if i is not None:
                     busy[conn] = i
-                    self._send(conn, (
-                        "run", start + i, key, backend, query, trials[i],
-                        num_colors, trace_id,
-                    ))
+                    self._send(
+                        conn, "run", start + i, key, backend, query, trials[i], num_colors
+                    )
 
             for conn in self._conns:
                 feed(conn)
             while busy:
                 for conn in cast(List[Connection], wait(list(busy))):
                     i = busy.pop(conn)
-                    msg = self._recv(conn)
-                    if msg[0] == "error":
+                    reply = self._recv(conn)
+                    if reply[0] == "error":
                         # stop feeding; the other workers finish their trial
-                        error = error or msg[1]
+                        error = error or reply[1]
                         continue
-                    _, _, count, seconds, events = msg
+                    _, count, _, seconds, _ = reply
                     results[i] = (count, seconds)
-                    obs.add_events(events)
                     self._runs += 1
                     if error is None:
                         feed(conn)

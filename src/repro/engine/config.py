@@ -158,7 +158,6 @@ class EngineConfig:
     seed: int = 0
     num_colors: Optional[int] = None
     workers: int = 1
-    coloring_strategy: str = "uniform"
     #: engine-wide trial policy; ``None`` keeps the bare ``trials`` knob
     #: as the policy (``PrecisionSpec.fixed(trials)``).  When set, every
     #: request that does not carry its own ``precision`` inherits this —
@@ -183,7 +182,6 @@ _INHERITED = (
     "seed",
     "num_colors",
     "workers",
-    "coloring_strategy",
     "precision",
 )
 
@@ -193,8 +191,7 @@ class CountRequest:
     """One counting job: a query plus optional per-request overrides.
 
     ``None`` means "inherit from :class:`EngineConfig`" for every field
-    in ``method / trials / seed / num_colors / workers /
-    coloring_strategy / precision``.  Every field is a plain value that
+    in ``method / trials / seed / num_colors / workers / precision``.  Every field is a plain value that
     reaches the request fingerprint.
     """
 
@@ -204,7 +201,6 @@ class CountRequest:
     seed: Optional[int] = None
     num_colors: Optional[int] = None
     workers: Optional[int] = None
-    coloring_strategy: Optional[str] = None
     #: optional vertex-label constraint applied to ``query`` at execution
     #: time.  Accepts the same spellings as the CLI/service surfaces — a
     #: ``{query node: int}`` mapping or a per-node list in the query's

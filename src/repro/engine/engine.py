@@ -531,7 +531,7 @@ class CountingEngine:
         # the pool busy or run one trial at a time; every coloring comes
         # from one seeded stream, so the first t trials of any run are
         # bit-identical to a fixed t-trial run (the parity invariant)
-        stream = coloring_stream(self.graph.n, kc, r.seed, strategy=r.coloring_strategy)
+        stream = coloring_stream(self.graph.n, kc, r.seed)
         step = workers if pool is not None else 1
         while len(counts) < cap:
             want = min(spec.min_trials if not counts else step, cap - len(counts))

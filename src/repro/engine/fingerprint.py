@@ -60,7 +60,6 @@ _FINGERPRINT_FIELDS = (
     "seed",
     "num_colors",
     "workers",
-    "coloring_strategy",
 )
 
 

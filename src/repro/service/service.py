@@ -25,7 +25,6 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
-from ..counting.colorings import COLORING_STRATEGIES
 from ..engine import CountingEngine, CountRequest, EngineConfig, PrecisionSpec, RunResult
 from ..engine.backends import DEFAULT_REGISTRY
 from ..engine.fingerprint import request_fingerprint
@@ -50,8 +49,7 @@ __all__ = [
 #: request fields a client may override per call (everything else is
 #: fixed by the service's EngineConfig)
 REQUEST_FIELDS = (
-    "method", "trials", "seed", "num_colors", "workers", "coloring_strategy",
-    "labels", "precision",
+    "method", "trials", "seed", "num_colors", "workers", "labels", "precision",
 )
 
 #: upper bounds on the untrusted per-request knobs — one HTTP client
@@ -171,10 +169,9 @@ class CountingService:
         Coerces JSON value types (``"2"``/``2.0`` → ``2``, so equivalent
         spellings share a fingerprint; ``true`` is not an integer, see
         :func:`~repro.query.library.whole_number`) and rejects unknown fields,
-        unknown methods and coloring strategies, ``seed < 0``,
-        ``trials < 1``, ``num_colors < k``, malformed ``precision``
-        documents and malformed label specs eagerly, so a queued job can
-        only fail for genuinely exceptional reasons.
+        unknown methods, ``seed < 0``, ``trials < 1``, ``num_colors < k``,
+        malformed ``precision`` documents and malformed label specs eagerly,
+        so a queued job can only fail for genuinely exceptional reasons.
 
         ``precision`` accepts everything
         :meth:`~repro.engine.config.PrecisionSpec.coerce` does on the
@@ -203,7 +200,7 @@ class CountingService:
             value = params.get(field)
             if value is None:
                 continue
-            if field in ("method", "coloring_strategy"):
+            if field == "method":
                 kwargs[field] = str(value)
                 continue
             try:
@@ -218,11 +215,6 @@ class CountingService:
             raise BadRequestError(
                 f"unknown method {request.method!r}; use one of "
                 f"{DEFAULT_REGISTRY.names()} or 'auto'"
-            )
-        if request.coloring_strategy not in COLORING_STRATEGIES:
-            raise BadRequestError(
-                f"unknown coloring_strategy {request.coloring_strategy!r}; "
-                f"use one of {sorted(COLORING_STRATEGIES)}"
             )
         if int(request.seed) < 0:
             raise BadRequestError("seed must be a non-negative integer")

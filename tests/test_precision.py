@@ -208,19 +208,14 @@ class TestStreamingAccumulator:
 # Prefix determinism: the stream is the batch
 # ---------------------------------------------------------------------------
 class TestColoringPrefix:
-    @pytest.mark.parametrize("strategy", ["uniform", "balanced"])
-    def test_stream_prefix_equals_batch(self, strategy):
+    def test_stream_prefix_equals_batch(self):
         n, k, seed = 37, 4, 11
-        stream = coloring_stream(n, k, seed, strategy)
+        stream = coloring_stream(n, k, seed)
         drawn = [next(stream) for _ in range(9)]
         for t in (1, 4, 9):
-            batch = coloring_batch(n, k, t, seed, strategy)
+            batch = coloring_batch(n, k, t, seed)
             for a, b in zip(drawn[:t], batch):
                 assert np.array_equal(a, b)
-
-    def test_stream_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown coloring strategy"):
-            next(coloring_stream(10, 3, 0, "spiral"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from repro.counting import (
     count_colorful_ps_vec,
     count_matches,
 )
+from repro.decomposition import heuristic_plan
+from repro.distributed import ShardedExecutor
+from repro.engine import CountingEngine
 from repro.graph import Graph
 from repro.query import (
     QueryGraph,
@@ -91,6 +94,21 @@ def test_ps_db_bruteforce_agree(instance):
     expected = count_colorful_matches(g, q, colors)
     assert count_colorful_ps(g, q, colors) == expected
     assert count_colorful_db(g, q, colors) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(colored_instances())
+def test_shards_and_default_engine_agree_with_bruteforce(instance):
+    """``ps-dist`` at 2 and 3 shards (a fresh pool per example, closed
+    after it) and the engine's default method count what brute force
+    counts."""
+    g, q, colors = instance
+    expected = count_colorful_matches(g, q, colors)
+    plan = heuristic_plan(q)
+    for workers in (2, 3):
+        with ShardedExecutor(g, workers) as executor:
+            assert executor.count(plan, colors).count == expected, workers
+    assert CountingEngine(g).count_colorful(q, colors) == expected
 
 
 @settings(max_examples=25, deadline=None)
